@@ -15,6 +15,14 @@
 //   2. malformed options must be rejected with InvalidArgument by the
 //      session instead of running.
 // The >= 3x warm-over-cold bar is enforced at acceptance scale (100k).
+//
+// Thread-scaling gate: the same cold runs are repeated at num_threads = 1.
+// Their mappings must equal the default (hardware_concurrency) runs' at
+// every scale, and on a multi-core machine the default must not be slower
+// than one thread — a parallel pipeline that loses to its own serial path
+// is a contention bug. At acceptance scale on >= 4 cores it must also
+// reach a 0.6·N speedup.
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -23,6 +31,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -34,6 +43,17 @@ namespace ms {
 namespace {
 
 constexpr int kRepeats = 3;
+constexpr size_t kAcceptanceScale = 100000;
+/// At acceptance scale on >= kScalingMinCores cores, the default cold run
+/// must be at least kScalingPerThread * N times faster than one thread.
+constexpr double kScalingPerThread = 0.6;
+constexpr size_t kScalingMinCores = 4;
+
+/// The speedup bar needs the cores to exist and a run long enough to time;
+/// smoke runs and small boxes record the measurement without enforcing it.
+bool ScalingBarEnforced(size_t hw, size_t n_tables) {
+  return hw >= kScalingMinCores && n_tables >= kAcceptanceScale;
+}
 
 /// Web-shaped vocabulary (same shape as bench_pr2): multi-word entity names
 /// with typo'd variants, short codes, a sprinkle of > 64-byte strings for
@@ -127,12 +147,41 @@ std::multiset<std::string> Canonical(const SynthesisResult& r) {
   return out;
 }
 
-SynthesisOptions BenchOptions(size_t edit_cap) {
+SynthesisOptions BenchOptions(size_t edit_cap, size_t num_threads = 0) {
   SynthesisOptions o;
   o.min_domains = 1;
   o.min_pairs = 1;
   o.compat.edit.cap = edit_cap;
+  o.num_threads = num_threads;
   return o;
+}
+
+/// Best-of-`repeats` wall time of cold monolithic full runs over
+/// `cap_sweep` at `num_threads` (0 = hardware concurrency); fills each
+/// config's canonical mappings and the last run's stats. False on a run
+/// error.
+bool TimeColdRuns(const TableCorpus& corpus,
+                  const std::vector<size_t>& cap_sweep, size_t num_threads,
+                  int repeats, double* best_s,
+                  std::map<size_t, std::multiset<std::string>>* canonical,
+                  PipelineStats* stats) {
+  *best_s = 1e100;
+  for (int r = 0; r < repeats; ++r) {
+    Timer t;
+    for (size_t cap : cap_sweep) {
+      SynthesisSession session(BenchOptions(cap, num_threads));
+      auto res = session.Run(corpus);
+      if (!res.ok()) {
+        std::cerr << "FAIL: cold run error: " << res.status().ToString()
+                  << "\n";
+        return false;
+      }
+      (*canonical)[cap] = Canonical(res.value());
+      *stats = res.value().stats;
+    }
+    *best_s = std::min(*best_s, t.ElapsedSeconds());
+  }
+  return true;
 }
 
 }  // namespace
@@ -188,22 +237,25 @@ int main(int argc, char** argv) {
   constexpr int kColdRepeats = 2;
   std::map<size_t, std::multiset<std::string>> cold_canonical;
   PipelineStats cold_stats;
-  double cold_s = 1e100;
-  for (int r = 0; r < kColdRepeats; ++r) {
-    Timer t;
-    for (size_t cap : cap_sweep) {
-      SynthesisSession session(BenchOptions(cap));
-      auto res = session.Run(corpus);
-      if (!res.ok()) {
-        std::cerr << "FAIL: cold run error: " << res.status().ToString()
-                  << "\n";
-        return 1;
-      }
-      cold_canonical[cap] = Canonical(res.value());
-      cold_stats = res.value().stats;
-    }
-    cold_s = std::min(cold_s, t.ElapsedSeconds());
+  double cold_s = 0.0;
+  if (!TimeColdRuns(corpus, cap_sweep, 0, kColdRepeats, &cold_s,
+                    &cold_canonical, &cold_stats)) {
+    return 1;
   }
+
+  // The same cold runs on one thread: the thread-scaling gate's baseline.
+  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  std::cout << "cold: the same runs at 1 thread (default is " << hw
+            << ")...\n"
+            << std::flush;
+  std::map<size_t, std::multiset<std::string>> cold_1t_canonical;
+  PipelineStats cold_1t_stats;
+  double cold_1t_s = 0.0;
+  if (!TimeColdRuns(corpus, cap_sweep, 1, kColdRepeats, &cold_1t_s,
+                    &cold_1t_canonical, &cold_1t_stats)) {
+    return 1;
+  }
+  const double thread_scaling = cold_1t_s / cold_s;
 
   // ------------------------------------------------- warm staged re-score
   // One session; extraction + blocking run once, their artifacts are
@@ -243,8 +295,10 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------------- equivalence gate
   size_t divergence = 0;
+  size_t thread_divergence = 0;
   for (size_t cap : cap_sweep) {
     if (cold_canonical[cap] != warm_canonical[cap]) ++divergence;
+    if (cold_canonical[cap] != cold_1t_canonical[cap]) ++thread_divergence;
   }
 
   const double speedup = cold_s / warm_s;
@@ -261,6 +315,10 @@ int main(int argc, char** argv) {
             << "s, scoring " << cold_stats.scoring_seconds << "s\n"
             << "  mapping divergence " << divergence << " / "
             << cap_sweep.size() << " configs\n"
+            << "  cold at 1 thread " << cold_1t_s << "s vs " << hw
+            << " threads " << cold_s << "s  => scaling " << thread_scaling
+            << "x, 1-vs-" << hw << "-thread divergence "
+            << thread_divergence << " / " << cap_sweep.size() << "\n"
             << "  session stage runs: " << ss.extract_runs << " extract, "
             << ss.blocking_runs << " blocking, " << ss.scoring_runs
             << " scoring (" << ss.warm_scoring_runs << " warm), "
@@ -298,6 +356,15 @@ int main(int argc, char** argv) {
       << "    \"blocking_runs\": " << ss.blocking_runs << ",\n"
       << "    \"scoring_runs\": " << ss.scoring_runs << ",\n"
       << "    \"warm_scoring_runs\": " << ss.warm_scoring_runs << "\n"
+      << "  },\n"
+      << "  \"thread_scaling\": {\n"
+      << "    \"hardware_concurrency\": " << hw << ",\n"
+      << "    \"cold_seconds_1t\": " << cold_1t_s << ",\n"
+      << "    \"cold_seconds_nt\": " << cold_s << ",\n"
+      << "    \"scaling\": " << thread_scaling << ",\n"
+      << "    \"mapping_divergence\": " << thread_divergence << ",\n"
+      << "    \"speedup_gate_enforced\": "
+      << (ScalingBarEnforced(hw, n_tables) ? "true" : "false") << "\n"
       << "  }\n"
       << "}\n";
   std::cout << "wrote " << out_path << "\n";
@@ -309,7 +376,6 @@ int main(int argc, char** argv) {
                  "results\n";
     return 1;
   }
-  constexpr size_t kAcceptanceScale = 100000;
   if (n_tables >= kAcceptanceScale && warm_stats.candidates < kAcceptanceScale) {
     std::cerr << "FAIL: corpus yielded only " << warm_stats.candidates
               << " candidates at acceptance scale\n";
@@ -318,6 +384,24 @@ int main(int argc, char** argv) {
   if (n_tables >= kAcceptanceScale && speedup < 3.0) {
     std::cerr << "FAIL: warm re-score speedup below 3x at acceptance "
                  "scale\n";
+    return 1;
+  }
+  if (thread_divergence != 0) {
+    std::cerr << "FAIL: 1-thread cold results diverge from " << hw
+              << "-thread cold results\n";
+    return 1;
+  }
+  if (hw > 1 && thread_scaling < 1.0) {
+    std::cerr << "FAIL: the cold pipeline at " << hw << " threads ("
+              << cold_s << "s) is slower than at 1 thread (" << cold_1t_s
+              << "s)\n";
+    return 1;
+  }
+  if (ScalingBarEnforced(hw, n_tables) &&
+      thread_scaling < kScalingPerThread * static_cast<double>(hw)) {
+    std::cerr << "FAIL: " << hw << "-thread cold scaling " << thread_scaling
+              << "x below the " << kScalingPerThread << "*" << hw
+              << " acceptance bar\n";
     return 1;
   }
   return 0;

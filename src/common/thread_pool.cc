@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace ms {
 
@@ -46,14 +45,12 @@ void ThreadPool::WaitIdle() {
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   const size_t chunks = std::min(n, workers_.size() * 4);
-  std::atomic<size_t> next{0};
   const size_t chunk_size = (n + chunks - 1) / chunks;
   for (size_t c = 0; c < chunks; ++c) {
     Submit([&, c] {
       const size_t begin = c * chunk_size;
       const size_t end = std::min(n, begin + chunk_size);
       for (size_t i = begin; i < end; ++i) fn(i);
-      (void)next;
     });
   }
   WaitIdle();

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace ms {
@@ -20,16 +21,24 @@ struct CompatEdge {
   double w_neg = 0.0;  ///< w-(u, v) in [-1, 0]
 };
 
-/// Sparse undirected graph stored as an edge list plus CSR-style adjacency.
-/// Build once via AddEdge()+Finalize(); adjacency queries after Finalize().
+/// Sparse undirected graph stored as an edge list plus CSR adjacency
+/// (per-vertex offsets into one array of incident edge ids). Build either
+/// edge by edge via AddEdge()+Finalize(), or in one step by adopting a
+/// ready edge list; adjacency queries after Finalize().
 class CompatibilityGraph {
  public:
   explicit CompatibilityGraph(size_t num_vertices = 0)
       : num_vertices_(num_vertices) {}
 
-  void set_num_vertices(size_t n) { num_vertices_ = n; }
+  /// Adopts `edges` verbatim (no copy) and finalizes. Every edge must
+  /// satisfy u < v < num_vertices — the form AddEdge() normalizes to.
+  CompatibilityGraph(size_t num_vertices, std::vector<CompatEdge> edges);
+
   size_t num_vertices() const { return num_vertices_; }
   size_t num_edges() const { return edges_.size(); }
+
+  /// Reserves room for `n` edges ahead of AddEdge() calls.
+  void ReserveEdges(size_t n) { edges_.reserve(n); }
 
   /// Adds an undirected edge (u != v). Call before Finalize().
   void AddEdge(VertexId u, VertexId v, double w_pos, double w_neg);
@@ -39,8 +48,9 @@ class CompatibilityGraph {
 
   const std::vector<CompatEdge>& edges() const { return edges_; }
 
-  /// Indices into edges() incident to vertex v (valid after Finalize()).
-  const std::vector<uint32_t>& IncidentEdges(VertexId v) const;
+  /// Indices into edges() incident to vertex v, ascending (valid after
+  /// Finalize()).
+  std::span<const uint32_t> IncidentEdges(VertexId v) const;
 
   /// The other endpoint of edge e relative to v.
   VertexId Other(const CompatEdge& e, VertexId v) const {
@@ -50,7 +60,10 @@ class CompatibilityGraph {
  private:
   size_t num_vertices_;
   std::vector<CompatEdge> edges_;
-  std::vector<std::vector<uint32_t>> adj_;
+  /// CSR adjacency: vertex v's incident edge ids are
+  /// incident_[offsets_[v], offsets_[v + 1]).
+  std::vector<uint32_t> offsets_;
+  std::vector<uint32_t> incident_;
   bool finalized_ = false;
 };
 

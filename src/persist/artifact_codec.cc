@@ -468,6 +468,7 @@ Status DecodeScored(std::string_view payload, size_t num_candidates,
     return Status::DataLoss("scored-graph section is malformed");
   }
   out->graph = CompatibilityGraph(static_cast<size_t>(num_vertices));
+  out->graph.ReserveEdges(static_cast<size_t>(num_edges));
   for (uint64_t i = 0; i < num_edges; ++i) {
     uint32_t u = r.U32();
     uint32_t v = r.U32();

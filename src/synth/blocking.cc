@@ -57,12 +57,12 @@ void EmitIdPairs(std::vector<uint32_t>& ids, size_t max_posting,
 }
 
 std::vector<CandidateTablePair> CollectAndSort(
-    std::vector<std::vector<CandidateTablePair>>& per_shard) {
+    const std::vector<std::vector<CandidateTablePair>>& per_shard) {
   std::vector<CandidateTablePair> out;
   size_t total = 0;
   for (const auto& s : per_shard) total += s.size();
   out.reserve(total);
-  for (auto& s : per_shard) {
+  for (const auto& s : per_shard) {
     out.insert(out.end(), s.begin(), s.end());
   }
   // Deterministic order for reproducibility.
@@ -70,6 +70,192 @@ std::vector<CandidateTablePair> CollectAndSort(
     return std::tie(x.a, x.b) < std::tie(y.a, y.b);
   });
   return out;
+}
+
+using Partition = std::vector<std::pair<uint64_t, uint32_t>>;
+
+/// One partition's posting lists after de-dup and truncation, keeping only
+/// the lists that can emit an id pair: list k is ids[offsets[k],
+/// offsets[k+1]) (sorted ascending) under a value-pair key iff is_pair[k].
+/// 4 bytes per kept posting instead of the shuffle's 16 per posting.
+struct PostingLists {
+  std::vector<uint32_t> ids;
+  std::vector<uint32_t> offsets{0};
+  std::vector<uint8_t> is_pair;
+};
+
+/// Key accounting of one counting pass. With first_new = 0 (a cold run)
+/// every key is "new" and every drop is a union-run drop.
+struct PassAccount {
+  size_t keys = 0;      ///< keys walked
+  size_t new_keys = 0;  ///< keys no id < first_new holds
+  /// Postings dropped by truncation beyond what the ids < first_new alone
+  /// would drop (all drops when first_new = 0).
+  size_t dropped = 0;
+  std::vector<uint32_t> tainted;  ///< ids in some truncated tail
+};
+
+/// Position of the first id >= first_new in the sorted list [ids, ids+n).
+size_t NewFrom(const uint32_t* ids, size_t n, uint32_t first_new) {
+  if (first_new == 0) return 0;
+  return static_cast<size_t>(std::lower_bound(ids, ids + n, first_new) - ids);
+}
+
+/// Sorts `part`, walks its posting-list runs, de-dups and truncates each
+/// (lowest ids kept), and appends to `out` the lists that hold a pair with
+/// at least one id >= first_new. Releases `part`'s buffer when done.
+void CompactPartition(Partition& part, size_t max_posting, uint32_t first_new,
+                      PassAccount* acct, PostingLists* out) {
+  std::sort(part.begin(), part.end());
+  size_t i = 0;
+  while (i < part.size()) {
+    const uint64_t key = part[i].first;
+    const size_t list_begin = out->ids.size();
+    for (; i < part.size() && part[i].first == key; ++i) {
+      // Runs are sorted by id, so de-dup is an adjacency check.
+      if (out->ids.size() == list_begin || out->ids.back() != part[i].second) {
+        out->ids.push_back(part[i].second);
+      }
+    }
+    const uint32_t* ids = out->ids.data() + list_begin;
+    const size_t n = out->ids.size() - list_begin;
+    ++acct->keys;
+    // Ids are sorted, so the list the ids < first_new alone would form is
+    // the prefix before first_new.
+    const size_t old_len = NewFrom(ids, n, first_new);
+    if (old_len == 0) ++acct->new_keys;
+    size_t kept = n;
+    if (n > max_posting) {
+      // Deterministic truncation (lowest ids kept), but accounted for. The
+      // dropped tail can include old ids (already tainted by the run that
+      // counted them — re-adding is idempotent) and new ones.
+      const size_t base_dropped =
+          old_len > max_posting ? old_len - max_posting : 0;
+      acct->dropped += (n - max_posting) - base_dropped;
+      acct->tainted.insert(acct->tainted.end(), ids + max_posting, ids + n);
+      kept = max_posting;
+    }
+    if (kept >= 2 && std::min(old_len, kept) < kept) {
+      out->ids.resize(list_begin + kept);
+      out->offsets.push_back(static_cast<uint32_t>(out->ids.size()));
+      out->is_pair.push_back((key & 1) == 0);
+    } else {
+      out->ids.resize(list_begin);
+    }
+  }
+  Partition().swap(part);
+}
+
+/// Shard tasks per worker: more, smaller shards keep each task's count map
+/// (and the memory a worker holds at once) a fraction of the run's
+/// distinct id pairs, for one more linear scan of the lists per shard.
+constexpr size_t kShardsPerWorker = 4;
+
+/// The counting kernel shared by cold and delta blocking. Task s of
+/// `num_shards` owns the id pairs (a, b) with a % num_shards == s: it walks
+/// every partition's lists and increments only its own pairs, so the shard
+/// maps are disjoint, there is one counter per id pair as in a serial run,
+/// and no merge step follows. Only pairs with b >= first_new are counted
+/// (all of them when first_new = 0). Each shard's survivors (θ_overlap)
+/// are emitted straight from its map into an exactly sized vector, then the
+/// map is freed.
+std::vector<std::vector<CandidateTablePair>> CountShards(
+    const std::vector<PostingLists>& lists, uint32_t first_new,
+    const BlockingOptions& options, const std::vector<uint8_t>& tainted,
+    ThreadPool* pool) {
+  const bool parallel = pool && pool->num_threads() > 1;
+  const size_t workers = parallel ? pool->num_threads() : 1;
+  const size_t num_shards = NextPow2(workers) * kShardsPerWorker;
+  const uint32_t shard_mask = static_cast<uint32_t>(num_shards - 1);
+  std::vector<std::vector<CandidateTablePair>> survivors(num_shards);
+  const auto survives = [&](const OverlapCounts& c) {
+    return c.pairs >= options.theta_overlap || c.lefts >= options.theta_overlap;
+  };
+  auto count_shard = [&](size_t shard) {
+    // Growth-by-doubling beats an upfront reservation here — increment
+    // counts overestimate distinct id pairs several-fold, and an oversized
+    // map trades amortized rehash for a cache miss on every increment.
+    FlatMap64<OverlapCounts> counts;
+    for (const PostingLists& pl : lists) {
+      for (size_t k = 0; k + 1 < pl.offsets.size(); ++k) {
+        const uint32_t* ids = pl.ids.data() + pl.offsets[k];
+        const size_t n = pl.offsets[k + 1] - pl.offsets[k];
+        const size_t new_from = NewFrom(ids, n, first_new);
+        uint32_t OverlapCounts::*field =
+            pl.is_pair[k] ? &OverlapCounts::pairs : &OverlapCounts::lefts;
+        for (size_t x = 0; x + 1 < n; ++x) {
+          if ((ids[x] & shard_mask) != shard) continue;
+          const uint64_t hi = static_cast<uint64_t>(ids[x]) << 32;
+          for (size_t y = std::max(x + 1, new_from); y < n; ++y) {
+            ++(counts[hi | ids[y]].*field);
+          }
+        }
+      }
+    }
+    size_t num_survivors = 0;
+    counts.ForEach([&](uint64_t, const OverlapCounts& c) {
+      num_survivors += survives(c);
+    });
+    auto& out = survivors[shard];
+    out.reserve(num_survivors);
+    counts.ForEach([&](uint64_t packed, const OverlapCounts& c) {
+      if (!survives(c)) return;
+      CandidateTablePair p;
+      p.a = static_cast<uint32_t>(packed >> 32);
+      p.b = static_cast<uint32_t>(packed & 0xffffffffu);
+      p.shared_pairs = c.pairs;
+      p.shared_lefts = c.lefts;
+      p.counts_exact = tainted.empty() || (!tainted[p.a] && !tainted[p.b]);
+      out.push_back(p);
+    });
+  };
+  if (parallel) {
+    pool->ParallelFor(num_shards, count_shard);
+  } else {
+    for (size_t s = 0; s < num_shards; ++s) count_shard(s);
+  }
+  return survivors;
+}
+
+/// Everything after the map + shuffle, shared by cold and delta blocking:
+/// compacts each partition's posting lists (parallel over partitions), folds
+/// the truncated tails into `tainted` (in/out: empty until the first
+/// truncation), and counts and thresholds the pairs touching an id >=
+/// first_new, returning each shard's survivors. `acct` sums the partitions'
+/// key accounting; `*newly_tainted` counts the bitmap entries this pass set.
+std::vector<std::vector<CandidateTablePair>> CountPairs(
+    std::vector<Partition>& parts, size_t num_candidates, uint32_t first_new,
+    const BlockingOptions& options, ThreadPool* pool,
+    std::vector<uint8_t>* tainted, PassAccount* acct, size_t* newly_tainted) {
+  std::vector<PostingLists> lists(parts.size());
+  std::vector<PassAccount> part_acct(parts.size());
+  auto compact = [&](size_t p) {
+    CompactPartition(parts[p], options.max_posting, first_new, &part_acct[p],
+                     &lists[p]);
+  };
+  if (pool && pool->num_threads() > 1) {
+    pool->ParallelFor(parts.size(), compact);
+  } else {
+    for (size_t p = 0; p < parts.size(); ++p) compact(p);
+  }
+
+  // A pair's counts are exact iff neither endpoint was ever dropped from a
+  // truncated list (a pair only loses count from a list both appear in when
+  // one of them sits in the dropped tail).
+  for (const PassAccount& a : part_acct) {
+    acct->keys += a.keys;
+    acct->new_keys += a.new_keys;
+    acct->dropped += a.dropped;
+    for (uint32_t id : a.tainted) {
+      if (tainted->empty()) tainted->assign(num_candidates, 0);
+      if (!(*tainted)[id]) {
+        (*tainted)[id] = 1;
+        ++*newly_tainted;
+      }
+    }
+  }
+
+  return CountShards(lists, first_new, options, *tainted, pool);
 }
 
 }  // namespace
@@ -89,167 +275,26 @@ std::vector<CandidateTablePair> GenerateCandidatePairs(
         EmitBlockingKeys(candidates[id], id, em);
       };
   auto parts = RunMapShuffle<uint32_t, uint64_t, uint32_t>(inputs, map_fn, pool);
-  if (stats) stats->map_shuffle_seconds = timer.ElapsedSeconds();
+  const double map_shuffle_seconds = timer.ElapsedSeconds();
 
-  // --- Streaming count: sort each partition by key, walk posting-list runs,
-  // and stream the co-occurring id pairs directly into per-partition flat
-  // count maps sharded by the packed id pair. Nothing quadratic is ever
-  // stored; each id pair costs one hash-map increment.
-  timer.Restart();
-  const size_t workers = pool ? pool->num_threads() : 1;
-  const bool parallel = pool && workers > 1;
-  const size_t num_shards = NextPow2(workers);
-  const uint64_t shard_mask = num_shards - 1;
-
-  // One count-map group per partition when counting runs in parallel;
-  // serially, all partitions share one group so the merge below is a no-op.
-  const size_t num_groups = parallel ? parts.size() : 1;
-  std::vector<std::vector<FlatMap64<OverlapCounts>>> counts(num_groups);
-  for (auto& c : counts) c.resize(num_shards);
-  std::vector<size_t> part_keys(parts.size(), 0);
-  std::vector<size_t> part_dropped(parts.size(), 0);
-  // Candidate ids dropped from a truncated posting list, per partition.
-  // Only pairs touching one of these can have understated counts; everyone
-  // else keeps per-pair count exactness (counts_exact) even when some hot
-  // key somewhere truncated.
-  std::vector<std::vector<uint32_t>> part_tainted(parts.size());
-
-  auto for_each_run = [](const std::vector<std::pair<uint64_t, uint32_t>>& part,
-                         auto&& fn) {
-    size_t i = 0;
-    while (i < part.size()) {
-      const uint64_t key = part[i].first;
-      size_t j = i;
-      while (j < part.size() && part[j].first == key) ++j;
-      fn(key, i, j);
-      i = j;
-    }
-  };
-
-  auto count_partition = [&](size_t p) {
-    auto& part = parts[p];
-    if (part.empty()) return;
-    auto& shards = counts[parallel ? p : 0];
-    std::vector<uint32_t> ids;
-    for_each_run(part, [&](uint64_t key, size_t begin, size_t end) {
-      ids.clear();
-      for (size_t i = begin; i < end; ++i) {
-        // Runs are sorted by id, so de-dup is an adjacency check.
-        if (ids.empty() || ids.back() != part[i].second) {
-          ids.push_back(part[i].second);
-        }
-      }
-      ++part_keys[p];
-      if (ids.size() > options.max_posting) {
-        // Deterministic truncation (lowest ids kept), but accounted for.
-        part_dropped[p] += ids.size() - options.max_posting;
-        part_tainted[p].insert(part_tainted[p].end(),
-                               ids.begin() + options.max_posting, ids.end());
-        ids.resize(options.max_posting);
-      }
-      const bool is_pair = (key & 1) == 0;
-      for (size_t x = 0; x < ids.size(); ++x) {
-        const uint64_t hi = static_cast<uint64_t>(ids[x]) << 32;
-        for (size_t y = x + 1; y < ids.size(); ++y) {
-          const uint64_t packed = hi | ids[y];
-          // High mix bits pick the shard; FlatMap64 slots use the low bits.
-          auto& c = shards[(Mix64(packed) >> 32) & shard_mask][packed];
-          if (is_pair) {
-            ++c.pairs;
-          } else {
-            ++c.lefts;
-          }
-        }
-      }
-    });
-  };
-  if (parallel) {
-    // Each partition task sorts its own buffer; count maps are per group.
-    pool->ParallelFor(parts.size(), [&](size_t p) {
-      std::sort(parts[p].begin(), parts[p].end());
-      count_partition(p);
-    });
-  } else {
-    // Serial: all partitions share one map group. Growth-by-doubling beats
-    // an upfront reservation here — increment counts overestimate distinct
-    // id pairs several-fold, and an oversized map trades amortized rehash
-    // for a cache miss on every increment (measurably worse).
-    for (size_t p = 0; p < parts.size(); ++p) {
-      std::sort(parts[p].begin(), parts[p].end());
-      count_partition(p);
-    }
-  }
-  if (stats) stats->count_seconds = timer.ElapsedSeconds();
-
-  // --- Merge the per-partition taint lists into one bitmap: a pair's
-  // counts are exact iff neither endpoint was ever dropped from a truncated
-  // list (a pair only loses count from a list both appear in when one of
-  // them sits in the dropped tail).
+  // --- Count: compact posting lists, stream co-occurring id pairs into
+  // shard-owned flat count maps, threshold. Nothing quadratic is stored.
   std::vector<uint8_t> tainted;
+  PassAccount acct;
   size_t num_tainted = 0;
-  for (const auto& t : part_tainted) {
-    for (uint32_t id : t) {
-      if (tainted.empty()) tainted.assign(candidates.size(), 0);
-      if (!tainted[id]) {
-        tainted[id] = 1;
-        ++num_tainted;
-      }
-    }
-  }
-
-  // --- Reduce: merge each shard across partition groups (parallel over
-  // shards), apply the θ_overlap threshold, and emit surviving pairs. With
-  // one group (serial counting) the "merge" reads the counts in place.
   timer.Restart();
-  std::vector<std::vector<CandidateTablePair>> survivors(num_shards);
-  auto emit_survivor = [&](std::vector<CandidateTablePair>& out,
-                           uint64_t packed, const OverlapCounts& c) {
-    if (c.pairs >= options.theta_overlap || c.lefts >= options.theta_overlap) {
-      CandidateTablePair p;
-      p.a = static_cast<uint32_t>(packed >> 32);
-      p.b = static_cast<uint32_t>(packed & 0xffffffffu);
-      p.shared_pairs = c.pairs;
-      p.shared_lefts = c.lefts;
-      p.counts_exact = tainted.empty() || (!tainted[p.a] && !tainted[p.b]);
-      out.push_back(p);
-    }
-  };
-  auto reduce_shard = [&](size_t s) {
-    auto& out = survivors[s];
-    if (num_groups == 1) {
-      counts[0][s].ForEach([&](uint64_t packed, const OverlapCounts& c) {
-        emit_survivor(out, packed, c);
-      });
-      return;
-    }
-    size_t expected = 0;
-    for (size_t g = 0; g < num_groups; ++g) expected += counts[g][s].size();
-    if (expected == 0) return;
-    FlatMap64<OverlapCounts> merged(expected);
-    for (size_t g = 0; g < num_groups; ++g) {
-      counts[g][s].ForEach([&](uint64_t packed, const OverlapCounts& c) {
-        auto& m = merged[packed];
-        m.pairs += c.pairs;
-        m.lefts += c.lefts;
-      });
-    }
-    merged.ForEach([&](uint64_t packed, const OverlapCounts& c) {
-      emit_survivor(out, packed, c);
-    });
-  };
-  if (parallel && num_shards > 1) {
-    pool->ParallelFor(num_shards, reduce_shard);
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) reduce_shard(s);
-  }
-
+  const auto survivors =
+      CountPairs(parts, candidates.size(), /*first_new=*/0, options, pool,
+                 &tainted, &acct, &num_tainted);
+  const double count_seconds = timer.ElapsedSeconds();
+  timer.Restart();
   auto out = CollectAndSort(survivors);
   if (stats) {
+    stats->map_shuffle_seconds = map_shuffle_seconds;
+    stats->count_seconds = count_seconds;
     stats->reduce_seconds = timer.ElapsedSeconds();
-    for (size_t p = 0; p < parts.size(); ++p) {
-      stats->keys += part_keys[p];
-      stats->dropped_postings += part_dropped[p];
-    }
+    stats->keys += acct.keys;
+    stats->dropped_postings += acct.dropped;
     stats->tainted_candidates = num_tainted;
     stats->exact_counts = stats->dropped_postings == 0;
     stats->tainted = std::move(tainted);
@@ -311,148 +356,21 @@ std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
       };
   auto parts = RunMapShuffle<uint32_t, uint64_t, uint32_t>(inputs, map_fn, pool);
 
-  // --- Streaming count, restricted to pairs with at least one appended id.
-  // Truncation follows union semantics exactly: appended ids sort after all
-  // existing ids, so the kept prefix of every list starts with the base
-  // run's kept old ids — old-old counts and old-candidate taint can never
-  // change, which is why they are not recomputed here.
-  const size_t workers = pool ? pool->num_threads() : 1;
-  const bool parallel = pool && workers > 1;
-  const size_t num_shards = NextPow2(workers);
-  const uint64_t shard_mask = num_shards - 1;
-  const size_t num_groups = parallel ? parts.size() : 1;
-  std::vector<std::vector<FlatMap64<OverlapCounts>>> counts(num_groups);
-  for (auto& c : counts) c.resize(num_shards);
-  std::vector<size_t> part_new_keys(parts.size(), 0);
-  std::vector<size_t> part_scanned(parts.size(), 0);
-  std::vector<size_t> part_dropped_delta(parts.size(), 0);
-  std::vector<std::vector<uint32_t>> part_tainted(parts.size());
-
-  auto count_partition = [&](size_t p) {
-    auto& part = parts[p];
-    if (part.empty()) return;
-    auto& shards = counts[parallel ? p : 0];
-    std::vector<uint32_t> ids;
-    size_t i = 0;
-    while (i < part.size()) {
-      const uint64_t key = part[i].first;
-      size_t j = i;
-      ids.clear();
-      for (; j < part.size() && part[j].first == key; ++j) {
-        if (ids.empty() || ids.back() != part[j].second) {
-          ids.push_back(part[j].second);
-        }
-      }
-      i = j;
-      ++part_scanned[p];
-      // Ids are sorted, so the base run's posting for this key is the
-      // old-id prefix.
-      const size_t old_len = static_cast<size_t>(
-          std::lower_bound(ids.begin(), ids.end(), first_new) - ids.begin());
-      if (old_len == 0) ++part_new_keys[p];
-      const size_t base_dropped =
-          old_len > options.max_posting ? old_len - options.max_posting : 0;
-      const size_t union_dropped =
-          ids.size() > options.max_posting ? ids.size() - options.max_posting
-                                           : 0;
-      part_dropped_delta[p] += union_dropped - base_dropped;
-      if (ids.size() > options.max_posting) {
-        // The dropped tail can include old ids (already tainted in the base
-        // run — re-adding is idempotent) and appended ids (newly tainted).
-        part_tainted[p].insert(part_tainted[p].end(),
-                               ids.begin() + options.max_posting, ids.end());
-        ids.resize(options.max_posting);
-      }
-      const bool is_pair = (key & 1) == 0;
-      // Only pairs touching an appended id: a < b and appended ids are the
-      // largest, so restricting b to the appended suffix of the kept list
-      // covers exactly (old x new) and (new x new).
-      const size_t first_new_pos = std::min(old_len, ids.size());
-      for (size_t x = 0; x < ids.size(); ++x) {
-        const uint64_t hi = static_cast<uint64_t>(ids[x]) << 32;
-        for (size_t y = std::max(x + 1, first_new_pos); y < ids.size(); ++y) {
-          const uint64_t packed = hi | ids[y];
-          auto& c = shards[(Mix64(packed) >> 32) & shard_mask][packed];
-          if (is_pair) {
-            ++c.pairs;
-          } else {
-            ++c.lefts;
-          }
-        }
-      }
-    }
-  };
-  if (parallel) {
-    pool->ParallelFor(parts.size(), [&](size_t p) {
-      std::sort(parts[p].begin(), parts[p].end());
-      count_partition(p);
-    });
-  } else {
-    for (size_t p = 0; p < parts.size(); ++p) {
-      std::sort(parts[p].begin(), parts[p].end());
-      count_partition(p);
-    }
-  }
-
-  // --- Fold the delta taint into the caller's union bitmap.
-  for (const auto& t : part_tainted) {
-    for (uint32_t id : t) {
-      if (tainted->empty()) tainted->assign(candidates.size(), 0);
-      (*tainted)[id] = 1;
-    }
-  }
-
-  // --- Reduce: merge shards across groups, threshold, emit delta pairs.
-  std::vector<std::vector<CandidateTablePair>> survivors(num_shards);
-  auto emit_survivor = [&](std::vector<CandidateTablePair>& out,
-                           uint64_t packed, const OverlapCounts& c) {
-    if (c.pairs >= options.theta_overlap || c.lefts >= options.theta_overlap) {
-      CandidateTablePair p;
-      p.a = static_cast<uint32_t>(packed >> 32);
-      p.b = static_cast<uint32_t>(packed & 0xffffffffu);
-      p.shared_pairs = c.pairs;
-      p.shared_lefts = c.lefts;
-      p.counts_exact =
-          tainted->empty() || (!(*tainted)[p.a] && !(*tainted)[p.b]);
-      out.push_back(p);
-    }
-  };
-  auto reduce_shard = [&](size_t s) {
-    auto& out = survivors[s];
-    if (num_groups == 1) {
-      counts[0][s].ForEach([&](uint64_t packed, const OverlapCounts& c) {
-        emit_survivor(out, packed, c);
-      });
-      return;
-    }
-    size_t expected = 0;
-    for (size_t g = 0; g < num_groups; ++g) expected += counts[g][s].size();
-    if (expected == 0) return;
-    FlatMap64<OverlapCounts> merged(expected);
-    for (size_t g = 0; g < num_groups; ++g) {
-      counts[g][s].ForEach([&](uint64_t packed, const OverlapCounts& c) {
-        auto& m = merged[packed];
-        m.pairs += c.pairs;
-        m.lefts += c.lefts;
-      });
-    }
-    merged.ForEach([&](uint64_t packed, const OverlapCounts& c) {
-      emit_survivor(out, packed, c);
-    });
-  };
-  if (parallel && num_shards > 1) {
-    pool->ParallelFor(num_shards, reduce_shard);
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) reduce_shard(s);
-  }
-
-  auto out = CollectAndSort(survivors);
+  // --- Count, restricted to pairs with at least one appended id, through
+  // the same kernel as a cold run. Truncation follows union semantics
+  // exactly: appended ids sort after all existing ids, so the kept prefix
+  // of every list starts with the base run's kept old ids — old-old counts
+  // and old-candidate taint can never change, which is why they are not
+  // recomputed here.
+  PassAccount acct;
+  size_t newly_tainted = 0;
+  auto out = CollectAndSort(CountPairs(parts, candidates.size(), first_new,
+                                       options, pool, tainted, &acct,
+                                       &newly_tainted));
   if (stats) {
-    for (size_t p = 0; p < parts.size(); ++p) {
-      stats->new_keys += part_new_keys[p];
-      stats->scanned_keys += part_scanned[p];
-      stats->dropped_postings += part_dropped_delta[p];
-    }
+    stats->new_keys += acct.new_keys;
+    stats->scanned_keys += acct.keys;
+    stats->dropped_postings += acct.dropped;
   }
   return out;
 }

@@ -4,11 +4,13 @@
 // least θ_overlap shared items.
 //
 // The production path is a sharded streaming design: one map+shuffle round
-// hash-partitions (item-hash -> table-id) postings, then each partition is
-// sort-grouped and its co-occurring id pairs are streamed straight into
-// hash-sharded flat count maps keyed by the packed id pair. The quadratic
-// id-pair stream is never materialized and the final count/threshold pass is
-// parallel over shards. `GenerateCandidatePairsReference` keeps the original
+// hash-partitions (item-hash -> table-id) postings, each partition is
+// sort-grouped into compact de-duplicated posting lists, and then one task
+// per shard of the id-pair space walks every list, streaming the
+// co-occurring id pairs it owns into its own flat count map and emitting
+// the survivors. The quadratic id-pair stream is never materialized, each
+// id pair has exactly one counter, and no merge step follows. Cold and
+// delta (append) blocking share this counting kernel. `GenerateCandidatePairsReference` keeps the original
 // emit-everything-then-count implementation for equivalence tests and
 // benchmarking.
 #pragma once
@@ -58,8 +60,9 @@ struct CandidateTablePair {
 /// Observability for the blocking stage (feeds PipelineStats).
 struct BlockingStats {
   double map_shuffle_seconds = 0.0;  ///< map + hash-partition phase
-  double count_seconds = 0.0;        ///< sort-group + sharded counting
-  double reduce_seconds = 0.0;       ///< shard merge + threshold + sort
+  /// sort-group + shard-owned counting + threshold
+  double count_seconds = 0.0;
+  double reduce_seconds = 0.0;  ///< concatenating and sorting survivors
   size_t keys = 0;                   ///< distinct blocking keys seen
   /// Postings dropped by the max_posting cap. The cap keeps lowest candidate
   /// ids, so high-id candidates silently lose pairs; this counter makes that

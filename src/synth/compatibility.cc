@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 namespace ms {
@@ -34,6 +36,26 @@ bool ValuesMatch(ValueId a, ValueId b, const StringPool& pool,
 }
 
 namespace {
+
+/// A residue pair with its (left, right) strings resolved once.
+struct ContentKeyed {
+  std::string_view left;
+  std::string_view right;
+  ValuePair pair;
+};
+
+/// Sorts `pairs` by (left string, right string) into `out`.
+void SortByContent(const std::vector<ValuePair>& pairs, const StringPool& pool,
+                   std::vector<ContentKeyed>* out) {
+  out->clear();
+  for (const ValuePair& p : pairs) {
+    out->push_back({pool.Get(p.left), pool.Get(p.right), p});
+  }
+  std::sort(out->begin(), out->end(),
+            [](const ContentKeyed& x, const ContentKeyed& y) {
+              return std::tie(x.left, x.right) < std::tie(y.left, y.right);
+            });
+}
 
 /// Greedy one-to-one matching of a's pairs against b's pairs. Exact matches
 /// are resolved with a sorted merge first; only the residue pays the
@@ -74,25 +96,23 @@ size_t CountPairOverlap(const BinaryTable& a, const BinaryTable& b,
   // value content so two corpora holding the same tables score
   // identically no matter how their pools were grown (the incremental
   // path's pool retains removed tables' values; a cold rebuild's does
-  // not).
-  const StringPool& cpool = matcher.pool();
-  const auto by_content = [&](const ValuePair& x, const ValuePair& y) {
-    return std::make_pair(cpool.Get(x.left), cpool.Get(x.right)) <
-           std::make_pair(cpool.Get(y.left), cpool.Get(y.right));
-  };
-  std::sort(rest_a.begin(), rest_a.end(), by_content);
-  std::sort(rest_b.begin(), rest_b.end(), by_content);
+  // not). Each element's strings are resolved once up front, so the
+  // comparator never touches the pool; it compares exactly what a
+  // comparator over Get() would, so std::sort yields the same order.
+  static thread_local std::vector<ContentKeyed> keyed_a, keyed_b;
+  SortByContent(rest_a, matcher.pool(), &keyed_a);
+  SortByContent(rest_b, matcher.pool(), &keyed_b);
 
   // Approximate residue matching (greedy, each b-pair used once).
   static thread_local std::vector<bool> used;
-  used.assign(rest_b.size(), false);
+  used.assign(keyed_b.size(), false);
   size_t approx = 0;
-  for (const auto& qa : rest_a) {
-    for (size_t k = 0; k < rest_b.size(); ++k) {
+  for (const auto& qa : keyed_a) {
+    for (size_t k = 0; k < keyed_b.size(); ++k) {
       if (used[k]) continue;
-      const auto& qb = rest_b[k];
-      if (matcher.Match(qa.left, qb.left) &&
-          matcher.Match(qa.right, qb.right)) {
+      const auto& qb = keyed_b[k].pair;
+      if (matcher.Match(qa.pair.left, qb.left) &&
+          matcher.Match(qa.pair.right, qb.right)) {
         used[k] = true;
         ++approx;
         break;

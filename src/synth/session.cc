@@ -103,8 +103,10 @@ CompatibilityGraph ScorePairsCore(
     const CompatibilityOptions& compat, ThreadPool* threads,
     const std::function<BatchApproxMatcher*()>& worker_matcher,
     ScoringStats* scoring_out) {
-  CompatibilityGraph graph(candidates.size());
-  std::vector<PairScores> scores(pairs.size());
+  // Scores land directly in the graph's edge list, one slot per pair; the
+  // zero-weight slots are compacted out afterwards and the list is adopted
+  // as is, so no per-pair score buffer is ever allocated.
+  std::vector<CompatEdge> edges(pairs.size());
 
   // Pairs arrive sorted by (a, b), so consecutive pairs share table a and —
   // more importantly — value strings. Scoring in chunks through a matcher
@@ -144,11 +146,12 @@ CompatibilityGraph ScorePairsCore(
       const bool cold_swapped =
           std::tie(tb.source_table, pairs[i].b) <
           std::tie(ta.source_table, pairs[i].a);
-      scores[i] = cold_swapped
-                      ? ComputeCompatibility(tb, ta, pool, compat, matcher,
-                                             &hint, &st)
-                      : ComputeCompatibility(ta, tb, pool, compat, matcher,
-                                             &hint, &st);
+      const PairScores s =
+          cold_swapped ? ComputeCompatibility(tb, ta, pool, compat, matcher,
+                                              &hint, &st)
+                       : ComputeCompatibility(ta, tb, pool, compat, matcher,
+                                              &hint, &st);
+      edges[i] = {pairs[i].a, pairs[i].b, s.w_pos, s.w_neg};
     }
     // Short-lived matchers surrender their kernel counters here; persistent
     // ones accumulate and are drained once per run by the session.
@@ -162,13 +165,13 @@ CompatibilityGraph ScorePairsCore(
   if (scoring_out) {
     for (const auto& st : chunk_stats) scoring_out->Add(st);
   }
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (scores[i].w_pos > 0.0 || scores[i].w_neg < 0.0) {
-      graph.AddEdge(pairs[i].a, pairs[i].b, scores[i].w_pos, scores[i].w_neg);
-    }
-  }
-  graph.Finalize();
-  return graph;
+  // Pairs are sorted by (a, b) with a < b, so the compacted list is already
+  // in the normalized order AddEdge() would have produced.
+  std::erase_if(edges, [](const CompatEdge& e) {
+    return !(e.w_pos > 0.0 || e.w_neg < 0.0);
+  });
+  edges.shrink_to_fit();
+  return CompatibilityGraph(candidates.size(), std::move(edges));
 }
 
 /// Builds the component-local subgraph of `members` and runs Algorithm 3 on
@@ -180,15 +183,25 @@ PartitionResult PartitionComponentSubgraph(
     const CompatibilityGraph& graph, const std::vector<uint32_t>& comp,
     const std::vector<uint32_t>& local_of,
     const std::vector<VertexId>& members, const PartitionerOptions& options) {
-  CompatibilityGraph sub(members.size());
-  for (VertexId v : members) {
-    for (uint32_t e : graph.IncidentEdges(v)) {
-      const auto& edge = graph.edges()[e];
-      if (edge.u != v) continue;  // visit each edge once (u < v)
-      if (comp[edge.v] != comp[v]) continue;
-      sub.AddEdge(local_of[edge.u], local_of[edge.v], edge.w_pos, edge.w_neg);
+  // Two passes over the members' edges: count, then fill an exactly sized
+  // edge list.
+  const auto for_each_local_edge = [&](auto&& fn) {
+    for (VertexId v : members) {
+      for (uint32_t e : graph.IncidentEdges(v)) {
+        const auto& edge = graph.edges()[e];
+        if (edge.u != v) continue;  // visit each edge once (u < v)
+        if (comp[edge.v] != comp[v]) continue;
+        fn(edge);
+      }
     }
-  }
+  };
+  size_t num_local = 0;
+  for_each_local_edge([&](const CompatEdge&) { ++num_local; });
+  CompatibilityGraph sub(members.size());
+  sub.ReserveEdges(num_local);
+  for_each_local_edge([&](const CompatEdge& edge) {
+    sub.AddEdge(local_of[edge.u], local_of[edge.v], edge.w_pos, edge.w_neg);
+  });
   sub.Finalize();
   return GreedyPartition(sub, options);
 }
@@ -1188,14 +1201,19 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   CompatibilityGraph delta_graph = ScoreThroughSessionMatchers(
       out.candidates.owned, *pool, delta_pairs, &scoring);
   out.append.delta_edges = delta_graph.num_edges();
-  CompatibilityGraph merged(out.candidates.owned.size());
   {
     const auto& be = scored.graph.edges();
     const auto& de = delta_graph.edges();
+    const auto base_dead = [&](const CompatEdge& e) {
+      return have_dead && (newly_dead[e.u] || newly_dead[e.v]);
+    };
+    std::vector<CompatEdge> merged;
+    merged.reserve(de.size() + be.size() -
+                   static_cast<size_t>(std::count_if(be.begin(), be.end(),
+                                                     base_dead)));
     size_t bi = 0, di = 0;
     while (bi < be.size() || di < de.size()) {
-      if (bi < be.size() && have_dead &&
-          (newly_dead[be[bi].u] || newly_dead[be[bi].v])) {
+      if (bi < be.size() && base_dead(be[bi])) {
         ++bi;
         continue;
       }
@@ -1203,12 +1221,11 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
           di >= de.size() ||
           (bi < be.size() &&
            std::tie(be[bi].u, be[bi].v) < std::tie(de[di].u, de[di].v));
-      const CompatEdge& e = take_base ? be[bi++] : de[di++];
-      merged.AddEdge(e.u, e.v, e.w_pos, e.w_neg);
+      merged.push_back(take_base ? be[bi++] : de[di++]);
     }
+    out.scored.graph =
+        CompatibilityGraph(out.candidates.owned.size(), std::move(merged));
   }
-  merged.Finalize();
-  out.scored.graph = std::move(merged);
   out.scored.stats = out.blocked.stats;
   out.scored.stats.scoring = scored.stats.scoring;
   out.scored.stats.scoring.Add(scoring);

@@ -5,12 +5,27 @@
 //
 // Two storage modes coexist in one pool:
 //   - Intern()'d strings are copied into pool-owned storage (deque: stored
-//     bytes never move), exactly as before.
+//     bytes never move).
 //   - AdoptExternal() appends string_views over caller-owned memory without
 //     copying — the zero-copy path the persistence layer uses to rebuild a
 //     pool over an mmap'd snapshot/corpus-store region. The backing mapping
 //     is pinned for the pool's lifetime with RetainBacking(), so views can
 //     never outlive their bytes no matter where the pool handle travels.
+//
+// Read contract. Get() and size() take no lock: scoring resolves ids
+// through Get() billions of times per run from every worker, and a mutex
+// there convoys all of them. The id -> view table lives in segments that
+// are allocated once and never move (segment k holds twice as many views
+// as segment k-1), and the writer publishes the new size with a release
+// store only after the view is in place. So Get(id) is safe, concurrently
+// with any writer, for every id the caller obtained in a way that happens
+// after the write that created it: the id came back from Intern() /
+// InternBatch() on this thread, or was read from size() / Find(), or was
+// handed over by a synchronizing operation (a mutex, an acquire load, a
+// thread join). Every writer (Intern, InternBatch, AdoptExternal,
+// TruncateTo, MarkReadOnly) and every string -> id lookup (Find) holds the
+// pool mutex. TruncateTo() is the one exception to "ids stay valid": ids
+// at or past the new size must no longer be read.
 //
 // The string -> id hash over adopted views is built lazily: AdoptExternal()
 // only appends the views, and the index over them is materialized on the
@@ -25,6 +40,10 @@
 // instead of mutating the pool.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -41,13 +60,12 @@ using ValueId = uint32_t;
 /// Sentinel for "no value".
 inline constexpr ValueId kInvalidValueId = UINT32_MAX;
 
-/// Append-only interning pool. Intern() is thread-safe; Get() is safe to
-/// call concurrently with Intern() because stored bytes never move (deque
-/// storage for owned strings, caller-pinned memory for adopted ones) and
-/// ids are handed out only after the string is in place.
+/// Append-only interning pool. Writers serialize on a mutex; Get() and
+/// size() are lock-free (see the read contract above).
 class StringPool {
  public:
   StringPool() = default;
+  ~StringPool();
   StringPool(const StringPool&) = delete;
   StringPool& operator=(const StringPool&) = delete;
 
@@ -94,10 +112,16 @@ class StringPool {
   /// the deferred index over adopted views if necessary.
   ValueId Find(std::string_view s) const;
 
-  /// The interned string for a valid id.
-  std::string_view Get(ValueId id) const;
+  /// The interned string for a valid id. Lock-free.
+  std::string_view Get(ValueId id) const {
+    assert(id < size());
+    const size_t seg = SegmentOf(id);
+    return segments_[seg].load(std::memory_order_acquire)[id -
+                                                          SegmentStart(seg)];
+  }
 
-  size_t size() const;
+  /// Number of ids handed out so far. Lock-free.
+  size_t size() const { return size_.load(std::memory_order_acquire); }
 
   /// Observability for the lazy index: how many strings are currently
   /// covered by the string -> id hash. Stays 0 after AdoptExternal() until
@@ -106,14 +130,35 @@ class StringPool {
   size_t indexed_strings() const;
 
  private:
-  /// Indexes views_[indexed_..views_.size()) into index_. Caller holds mu_.
+  /// Segment 0 holds ids [0, 2^kFirstSegmentBits); segment k >= 1 holds
+  /// [2^(kFirstSegmentBits+k-1), 2^(kFirstSegmentBits+k)). Enough segments
+  /// cover the whole 32-bit id space.
+  static constexpr unsigned kFirstSegmentBits = 10;
+  static constexpr size_t kNumSegments = 32 - kFirstSegmentBits + 1;
+
+  static size_t SegmentOf(size_t id) {
+    const unsigned width = static_cast<unsigned>(std::bit_width(id));
+    return width <= kFirstSegmentBits ? 0 : width - kFirstSegmentBits;
+  }
+  static size_t SegmentStart(size_t seg) {
+    return seg == 0 ? 0 : size_t{1} << (seg + kFirstSegmentBits - 1);
+  }
+  static size_t SegmentCapacity(size_t seg) {
+    return seg == 0 ? size_t{1} << kFirstSegmentBits : SegmentStart(seg);
+  }
+
+  /// Stores `v` as id size() and publishes the new size. Caller holds mu_.
+  ValueId AppendLocked(std::string_view v);
+  /// Indexes ids [indexed_, size()) into index_. Caller holds mu_.
   void EnsureIndexLocked() const;
 
   mutable std::mutex mu_;
   /// id -> bytes; views point into `owned_` or into retained backings.
-  std::vector<std::string_view> views_;
+  /// Segments are written only under mu_ and freed only by the destructor.
+  std::array<std::atomic<std::string_view*>, kNumSegments> segments_{};
+  std::atomic<size_t> size_{0};
   std::deque<std::string> owned_;
-  /// Lazily covers views_[0..indexed_); adopted views are indexed on the
+  /// Lazily covers ids [0, indexed_); adopted views are indexed on the
   /// first string -> id operation, never on adoption.
   mutable std::unordered_map<std::string_view, ValueId> index_;
   mutable size_t indexed_ = 0;

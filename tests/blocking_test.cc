@@ -242,6 +242,9 @@ TEST_F(BlockingFixture, DroppedPostingsAreCounted) {
 }
 
 TEST_F(BlockingFixture, TruncationIsDeterministicAcrossThreadCounts) {
+  // Every thread count runs the same shard-owned counting kernel, for cold
+  // and for delta blocking: pairs, key accounting and the taint bitmap must
+  // not depend on how the id-pair space was split.
   std::vector<BinaryTable> cands;
   for (int i = 0; i < 30; ++i) {
     cands.push_back(Make({{"hot", "key"},
@@ -250,14 +253,47 @@ TEST_F(BlockingFixture, TruncationIsDeterministicAcrossThreadCounts) {
   BlockingOptions opts;
   opts.theta_overlap = 1;
   opts.max_posting = 5;
-  auto serial = GenerateCandidatePairs(cands, opts);
-  ThreadPool pool(8);
-  BlockingStats stats_par;
-  auto parallel = GenerateCandidatePairs(cands, opts, &pool, &stats_par);
-  ExpectSamePairs(parallel, serial);
   BlockingStats stats_ser;
-  GenerateCandidatePairs(cands, opts, nullptr, &stats_ser);
-  EXPECT_EQ(stats_ser.dropped_postings, stats_par.dropped_postings);
+  const auto serial = GenerateCandidatePairs(cands, opts, nullptr, &stats_ser);
+  ASSERT_GT(stats_ser.dropped_postings, 0u);
+  ASSERT_FALSE(stats_ser.tainted.empty());
+
+  // Delta pass: the last 10 candidates appended onto the first 20.
+  constexpr uint32_t kFirstNew = 20;
+  const std::vector<BinaryTable> base(cands.begin(),
+                                      cands.begin() + kFirstNew);
+  BlockingStats base_stats;
+  GenerateCandidatePairs(base, opts, nullptr, &base_stats);
+  std::vector<uint8_t> delta_tainted_ser = base_stats.tainted;
+  DeltaBlockingStats delta_ser;
+  const auto delta_pairs_ser = GenerateDeltaCandidatePairs(
+      cands, kFirstNew, opts, nullptr, &delta_tainted_ser, &delta_ser);
+  ASSERT_FALSE(delta_pairs_ser.empty());
+
+  for (size_t threads : {1u, 4u, 8u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    ThreadPool pool(threads);
+    BlockingStats stats;
+    const auto pairs = GenerateCandidatePairs(cands, opts, &pool, &stats);
+    ExpectSamePairs(pairs, serial);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(pairs[i].counts_exact, serial[i].counts_exact) << i;
+    }
+    EXPECT_EQ(stats.keys, stats_ser.keys);
+    EXPECT_EQ(stats.dropped_postings, stats_ser.dropped_postings);
+    EXPECT_EQ(stats.tainted_candidates, stats_ser.tainted_candidates);
+    EXPECT_EQ(stats.tainted, stats_ser.tainted);
+
+    std::vector<uint8_t> delta_tainted = base_stats.tainted;
+    DeltaBlockingStats delta;
+    const auto delta_pairs = GenerateDeltaCandidatePairs(
+        cands, kFirstNew, opts, &pool, &delta_tainted, &delta);
+    ExpectSamePairs(delta_pairs, delta_pairs_ser);
+    EXPECT_EQ(delta.new_keys, delta_ser.new_keys);
+    EXPECT_EQ(delta.scanned_keys, delta_ser.scanned_keys);
+    EXPECT_EQ(delta.dropped_postings, delta_ser.dropped_postings);
+    EXPECT_EQ(delta_tainted, delta_tainted_ser);
+  }
 }
 
 }  // namespace

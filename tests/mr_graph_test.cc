@@ -203,6 +203,43 @@ TEST(CompatibilityGraphTest, EdgeStorageAndAdjacency) {
   EXPECT_EQ(g.Other(g.edges()[1], 1), 2u);
 }
 
+/// Property: the CSR adjacency lists, for every vertex, exactly the edges
+/// a naive per-vertex adjacency built from edges() lists, in the same
+/// (ascending edge id) order — whether the graph was built edge by edge,
+/// grown again after a Finalize(), or adopted from a ready edge list.
+TEST(CompatibilityGraphTest, CsrAdjacencyMatchesNaiveOnRandomGraphs) {
+  for (uint64_t seed : {3u, 17u, 29u, 41u, 53u}) {
+    Rng rng(seed);
+    const size_t n = 1 + rng.Uniform(80);
+    const size_t m = rng.Uniform(4 * n);
+    CompatibilityGraph built(n);
+    for (size_t e = 0; e < m; ++e) {
+      const VertexId u = static_cast<VertexId>(rng.Uniform(n));
+      const VertexId v = static_cast<VertexId>(rng.Uniform(n));
+      if (u == v) continue;
+      built.AddEdge(u, v, rng.UniformDouble(), -rng.UniformDouble());
+      // Finalize midway too: adding edges afterwards must rebuild.
+      if (e == m / 2) built.Finalize();
+    }
+    built.Finalize();
+    CompatibilityGraph adopted(n, built.edges());
+
+    std::vector<std::vector<uint32_t>> naive(n);
+    for (uint32_t e = 0; e < built.edges().size(); ++e) {
+      naive[built.edges()[e].u].push_back(e);
+      naive[built.edges()[e].v].push_back(e);
+    }
+    for (const CompatibilityGraph* g : {&built, &adopted}) {
+      ASSERT_EQ(g->num_edges(), built.num_edges());
+      for (VertexId v = 0; v < n; ++v) {
+        const auto got = g->IncidentEdges(v);
+        EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), naive[v])
+            << "seed=" << seed << " v=" << v;
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------------- Components
 
 CompatibilityGraph ChainGraph(size_t n, double w) {

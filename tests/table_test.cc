@@ -1,6 +1,9 @@
 // Unit tests for the table model: StringPool, Table, BinaryTable (value-pair
 // relations, FD checks, conflict sets), TableCorpus, and TSV round-tripping.
+#include <algorithm>
+#include <atomic>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -111,6 +114,141 @@ TEST(StringPoolTest, ConcurrentInternIsConsistent) {
   EXPECT_EQ(pool.size(), 100u);
   // Same string -> same id across threads.
   for (int t = 1; t < 8; ++t) EXPECT_EQ(ids[t], ids[0]);
+}
+
+// ------------------------------------------- StringPool lock-free reads
+// Get() and size() take no lock (string_pool.h, "Read contract"). These run
+// under the `concurrency` ctest label, which CI repeats under TSan: readers
+// resolve ids handed to them through an atomic while one writer grows the
+// pool through every write path across several segment boundaries.
+
+/// The string the writer below stores as id `id`.
+std::string ConcurrencyValue(size_t id) {
+  return "value-" + std::to_string(id);
+}
+
+TEST(StringPoolConcurrencyTest, ReadersGetWhileWriterAppends) {
+  // 12k ids cross the segment boundaries at 1024, 2048, 4096 and 8192.
+  constexpr size_t kTotal = 12000;
+  constexpr size_t kBatch = 97;
+  // Backing bytes for the adopted views; built before any thread starts and
+  // never touched again, so the views stay valid for the pool's life.
+  std::vector<std::string> expected(kTotal);
+  for (size_t i = 0; i < kTotal; ++i) expected[i] = ConcurrencyValue(i);
+
+  StringPool pool;
+  std::atomic<size_t> published{0};
+  std::atomic<bool> done{false};
+  std::atomic<size_t> mismatches{0};
+  std::atomic<size_t> reads{0};
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      uint64_t x = 0x9e3779b97f4a7c15ull * (t + 1);
+      while (!done.load(std::memory_order_acquire)) {
+        const size_t n = published.load(std::memory_order_acquire);
+        // size() publishes too: the newest id it reports must resolve.
+        const size_t live = pool.size();
+        if (live < n) mismatches.fetch_add(1);
+        if (live > 0 && pool.Get(static_cast<ValueId>(live - 1)) !=
+                            expected[live - 1]) {
+          mismatches.fetch_add(1);
+        }
+        if (n == 0) continue;
+        for (int k = 0; k < 64; ++k) {
+          x ^= x << 13;
+          x ^= x >> 7;
+          x ^= x << 17;
+          // Bias toward the newest ids: they sit in the youngest segment.
+          const size_t id = k % 2 == 0 ? n - 1 - x % std::min<size_t>(n, 64)
+                                       : x % n;
+          if (pool.Get(static_cast<ValueId>(id)) != expected[id]) {
+            mismatches.fetch_add(1);
+          }
+        }
+        reads.fetch_add(64);
+      }
+    });
+  }
+
+  // One writer cycling through Intern, InternBatch and AdoptExternal.
+  size_t next = 0;
+  int round = 0;
+  while (next < kTotal) {
+    const size_t end = std::min(kTotal, next + kBatch);
+    switch (round++ % 3) {
+      case 0:
+        for (size_t i = next; i < end; ++i) {
+          ASSERT_EQ(pool.Intern(expected[i]), static_cast<ValueId>(i));
+        }
+        break;
+      case 1: {
+        std::vector<std::string> strs(expected.begin() + next,
+                                      expected.begin() + end);
+        std::vector<ValueId> ids;
+        pool.InternBatch(strs, &ids);
+        ASSERT_EQ(ids.size(), end - next);
+        ASSERT_EQ(ids.front(), static_cast<ValueId>(next));
+        break;
+      }
+      default: {
+        std::vector<std::string_view> views(expected.begin() + next,
+                                            expected.begin() + end);
+        pool.AdoptExternal(views);
+        break;
+      }
+    }
+    next = end;
+    published.store(next, std::memory_order_release);
+  }
+  // Make sure every reader ran a while before stopping them.
+  while (reads.load() < 3 * 64 * 8) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  ASSERT_EQ(pool.size(), kTotal);
+  for (size_t i = 0; i < kTotal; ++i) {
+    ASSERT_EQ(pool.Get(static_cast<ValueId>(i)), expected[i]) << i;
+    ASSERT_EQ(pool.Find(expected[i]), static_cast<ValueId>(i)) << i;
+  }
+}
+
+TEST(StringPoolConcurrencyTest, TruncateLeavesPublishedPrefixReadable) {
+  // The append-rollback protocol truncates the tail while readers keep
+  // resolving ids below the rollback point; those must never change.
+  constexpr size_t kFloor = 1500;  // inside segment 1
+  StringPool pool;
+  for (size_t i = 0; i < kFloor; ++i) pool.Intern(ConcurrencyValue(i));
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> mismatches{0};
+  std::thread reader([&] {
+    size_t id = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      if (pool.size() < kFloor ||
+          pool.Get(static_cast<ValueId>(id)) != ConcurrencyValue(id)) {
+        mismatches.fetch_add(1);
+      }
+      id = (id + 7) % kFloor;
+    }
+  });
+  for (int round = 0; round < 20; ++round) {
+    // Grow across the 2048 and 4096 boundaries, then roll back.
+    for (size_t i = kFloor; i < 5000; ++i) {
+      pool.Intern("tail-" + std::to_string(round) + "-" + std::to_string(i));
+    }
+    pool.TruncateTo(kFloor);
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(pool.size(), kFloor);
+  EXPECT_EQ(pool.Find("tail-19-4999"), kInvalidValueId);
+  EXPECT_EQ(pool.Intern(ConcurrencyValue(kFloor)),
+            static_cast<ValueId>(kFloor));
 }
 
 // ------------------------------------------------------------------ Table
