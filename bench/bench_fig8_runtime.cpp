@@ -25,8 +25,7 @@ int main() {
 
   // Step-level breakdown for Synthesis (Section 5.3 discussion: table
   // synthesis dominates).
-  SynthesisPipeline pipeline{SynthesisOptions{}};
-  SynthesisResult r = pipeline.Run(world.corpus);
+  SynthesisResult r = bench::RunCold(world.corpus);
   PrintBanner(std::cout, "Synthesis step breakdown (seconds)");
   TextTable steps({"step", "seconds"});
   steps.AddRow({"index build", bench::F(r.stats.index_seconds, 3)});
@@ -44,8 +43,6 @@ int main() {
                 std::to_string(sm.myers64_calls)});
   steps.AddRow({"  scoring: myers blocked calls",
                 std::to_string(sm.myers_blocked_calls)});
-  steps.AddRow({"  scoring: scalar fallback calls",
-                std::to_string(sm.banded_calls)});
   steps.AddRow({"greedy partitioning", bench::F(r.stats.partition_seconds, 3)});
   steps.AddRow({"conflict resolution", bench::F(r.stats.resolve_seconds, 3)});
   steps.AddRow({"total", bench::F(r.stats.total_seconds, 3)});

@@ -1,16 +1,19 @@
 // Google-benchmark micro-benchmarks for the performance-critical kernels:
 // banded vs full vs bit-parallel Myers edit distance (short / long /
 // mismatched lengths, one-shot and prebuilt-pattern), NPMI lookups,
-// blocking, pair scoring, greedy partitioning, conflict resolution, bloom
-// probes, and mapping-store lookups.
+// blocking, pair scoring, greedy partitioning, conflict resolution, and
+// mapping-store lookups. The scalar DPs and seed blocking/index builds come
+// from the test oracles (tests/oracles) as comparison baselines.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <memory>
 
 #include "apps/mapping_store.h"
-#include "common/bloom_filter.h"
 #include "common/random.h"
+#include "oracles/blocking_oracle.h"
+#include "oracles/edit_distance_oracle.h"
+#include "oracles/inverted_index_oracle.h"
 #include "persist/corpus_store.h"
 #include "stats/npmi.h"
 #include "synth/blocking.h"
@@ -111,44 +114,32 @@ void BM_MyersPrebuiltPattern(benchmark::State& state) {
 }
 BENCHMARK(BM_MyersPrebuiltPattern)->Arg(8)->Arg(32)->Arg(128);
 
-// Mismatched lengths: the length-gap prefilter rejects before any DP work;
-// both gates should collapse to a subtraction.
+// Mismatched lengths: the length-gap prefilter rejects before any kernel
+// work, so this should collapse to a subtraction.
 void BM_ApproxMatchMismatchedLengths(benchmark::State& state) {
   Rng rng(2);
-  EditDistanceOptions opts;
-  opts.use_bit_parallel = state.range(0) != 0;
   std::string short_s = RandomString(rng, 8);
   std::string long_s = RandomString(rng, 120);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ApproxMatch(short_s, long_s, opts));
+    benchmark::DoNotOptimize(ApproxMatch(short_s, long_s));
   }
 }
-BENCHMARK(BM_ApproxMatchMismatchedLengths)->Arg(0)->Arg(1);
+BENCHMARK(BM_ApproxMatchMismatchedLengths);
 
-// Gate off = the scalar banded path through the same predicate, for
-// tracking the ApproxMatch-level speedup on near-miss pairs (the common
-// case in conflict counting: similar lengths, distance just over θ).
-void BM_ApproxMatchGate(benchmark::State& state) {
+// Near-miss pairs (the common case in conflict counting: similar lengths,
+// distance just over θ) through the ApproxMatch predicate.
+void BM_ApproxMatchNearMiss(benchmark::State& state) {
   Rng rng(2);
-  EditDistanceOptions opts;
-  opts.use_bit_parallel = state.range(1) != 0;
   const size_t len = static_cast<size_t>(state.range(0));
   std::vector<std::string> values;
   for (int i = 0; i < 64; ++i) values.push_back(RandomString(rng, len));
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ApproxMatch(values[i % 64], values[(i + 1) % 64], opts));
+    benchmark::DoNotOptimize(ApproxMatch(values[i % 64], values[(i + 1) % 64]));
     ++i;
   }
 }
-BENCHMARK(BM_ApproxMatchGate)
-    ->Args({12, 0})
-    ->Args({12, 1})
-    ->Args({28, 0})
-    ->Args({28, 1})
-    ->Args({90, 0})
-    ->Args({90, 1});
+BENCHMARK(BM_ApproxMatchNearMiss)->Arg(12)->Arg(28)->Arg(90);
 
 // The full scoring kernel through the batch matcher (mask cache warm), the
 // configuration BuildCompatibilityGraph runs per chunk.
@@ -308,22 +299,6 @@ void BM_ConflictResolution(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConflictResolution);
-
-void BM_BloomProbe(benchmark::State& state) {
-  BloomFilter bf(10000, 0.01);
-  Rng rng(5);
-  std::vector<std::string> keys;
-  for (int i = 0; i < 10000; ++i) {
-    keys.push_back("entry" + std::to_string(i));
-    bf.Add(keys.back());
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bf.MayContain(keys[i % keys.size()]));
-    ++i;
-  }
-}
-BENCHMARK(BM_BloomProbe);
 
 void BM_MappingStoreLookup(benchmark::State& state) {
   auto pool = std::make_shared<StringPool>();

@@ -44,7 +44,12 @@ namespace ms {
 namespace {
 
 constexpr size_t kBatchSize = 32;
-constexpr size_t kReps = 7;
+/// Interleaved rep pairs. A rep takes ~0.3 s on a 4-core VM now that
+/// containment lookups go through the store's index (it took ~1.2 s over
+/// the bloom-screened scan), so 28 pairs keep the phase about as long as 7
+/// were: min-vs-min needs enough reps for both modes to see the machine's
+/// quiet moments.
+constexpr size_t kReps = 28;
 constexpr size_t kItersPerRep = 1200;
 constexpr double kOverheadGate = 0.02;
 /// Below this idle-phase duration the quantization noise of a single rep is

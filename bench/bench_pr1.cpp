@@ -15,6 +15,8 @@
 
 #include "common/random.h"
 #include "common/timer.h"
+#include "oracles/blocking_oracle.h"
+#include "oracles/inverted_index_oracle.h"
 #include "stats/inverted_index.h"
 #include "synth/blocking.h"
 #include "table/binary_table.h"

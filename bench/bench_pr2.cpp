@@ -22,11 +22,12 @@
 
 #include "common/random.h"
 #include "common/timer.h"
+#include "oracles/compatibility_oracle.h"
+#include "oracles/edit_distance_oracle.h"
 #include "synth/blocking.h"
 #include "synth/compatibility.h"
 #include "table/binary_table.h"
 #include "table/string_pool.h"
-#include "text/edit_distance.h"
 #include "text/myers.h"
 
 namespace ms {
@@ -147,12 +148,11 @@ int main(int argc, char** argv) {
             << bstats.exact_counts << ")\n";
 
   const StringPool& pool = *vocab.pool;
+  const CompatibilityOptions opts;  // paper defaults for both scorers
 
   // ---------------------------------------------------------- scalar oracle
-  CompatibilityOptions scalar_opts;
-  scalar_opts.edit.use_bit_parallel = false;
-  scalar_opts.reuse_blocking_counts = false;
-
+  // The seed scorer (tests/oracles): banded DP per ValuesMatch call, no
+  // mask caching, no blocking-count reuse.
   std::cout << "pair scoring: seed scalar (banded DP, per-pair ValuesMatch)"
             << "...\n"
             << std::flush;
@@ -160,14 +160,13 @@ int main(int argc, char** argv) {
   const double scalar_s = BestOf([&] {
     for (size_t i = 0; i < pairs.size(); ++i) {
       ref_scores[i] = ComputeCompatibilityReference(
-          candidates[pairs[i].a], candidates[pairs[i].b], pool, scalar_opts);
+          candidates[pairs[i].a], candidates[pairs[i].b], pool, opts);
     }
   });
 
   // ------------------------------------------------------------- fast path
   // The pipeline's chunked loop: one BatchApproxMatcher per chunk so mask
   // builds amortize, blocking hints threaded through.
-  CompatibilityOptions fast_opts;  // defaults: Myers on, reuse on
   std::vector<PairScores> fast_scores(pairs.size());
   ScoringStats sstats;
   const double fast_s = BestOf([&] {
@@ -175,16 +174,14 @@ int main(int argc, char** argv) {
     constexpr size_t kChunk = 256;
     for (size_t begin = 0; begin < pairs.size(); begin += kChunk) {
       const size_t end = std::min(begin + kChunk, pairs.size());
-      BatchApproxMatcher matcher(pool, fast_opts.edit,
-                                 fast_opts.approximate_matching,
-                                 fast_opts.synonyms);
+      BatchApproxMatcher matcher(pool, opts.edit, opts.approximate_matching,
+                                 opts.synonyms);
       for (size_t i = begin; i < end; ++i) {
         const BlockingHint hint{pairs[i].shared_pairs, pairs[i].shared_lefts,
                                 bstats.exact_counts};
-        fast_scores[i] = ComputeCompatibility(candidates[pairs[i].a],
-                                              candidates[pairs[i].b], pool,
-                                              fast_opts, &matcher, &hint,
-                                              &sstats);
+        fast_scores[i] =
+            ComputeCompatibility(candidates[pairs[i].a], candidates[pairs[i].b],
+                                 pool, opts, &matcher, &hint, &sstats);
       }
       sstats.matcher.Add(matcher.stats());
     }
@@ -218,8 +215,7 @@ int main(int argc, char** argv) {
             << ", oracle divergence " << oracle_divergence << " / "
             << kOracleSamples << " samples\n"
             << "  kernels: " << m.myers64_calls << " myers64, "
-            << m.myers_blocked_calls << " blocked, " << m.banded_calls
-            << " banded; mask cache " << m.pattern_cache_hits << " hits / "
+            << m.myers_blocked_calls << " blocked; mask cache " << m.pattern_cache_hits << " hits / "
             << m.pattern_cache_misses << " builds; reuse skipped "
             << sstats.overlap_merges_skipped << " merges\n";
 
@@ -242,7 +238,6 @@ int main(int argc, char** argv) {
       << "    \"score_divergence\": " << score_divergence << ",\n"
       << "    \"myers64_calls\": " << m.myers64_calls << ",\n"
       << "    \"myers_blocked_calls\": " << m.myers_blocked_calls << ",\n"
-      << "    \"banded_fallback_calls\": " << m.banded_calls << ",\n"
       << "    \"mask_cache_hits\": " << m.pattern_cache_hits << ",\n"
       << "    \"mask_cache_builds\": " << m.pattern_cache_misses << ",\n"
       << "    \"charmask_rejects\": " << m.charmask_rejects << ",\n"

@@ -2,15 +2,17 @@
 // world construction, evaluation shortcuts, and report formatting.
 #pragma once
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
 #include "corpusgen/generator.h"
 #include "eval/metrics.h"
 #include "eval/report.h"
-#include "synth/pipeline.h"
+#include "synth/session.h"
 
 namespace ms::bench {
 
@@ -22,6 +24,19 @@ inline GeneratedWorld StandardWebWorld(double popularity_scale = 1.0,
   opts.seed = seed;
   opts.popularity_scale = popularity_scale;
   return GenerateWebWorld(opts);
+}
+
+/// One cold synthesis run through a fresh SynthesisSession. Exits on error
+/// so a misconfigured figure never reports on an empty result.
+inline SynthesisResult RunCold(const TableCorpus& corpus,
+                               const SynthesisOptions& options = {}) {
+  SynthesisSession session(options);
+  auto result = session.Run(corpus);
+  if (!result.ok()) {
+    std::cerr << "synthesis failed: " << result.status().ToString() << "\n";
+    std::exit(1);
+  }
+  return std::move(result).value();
 }
 
 /// Relations view over synthesized mappings.

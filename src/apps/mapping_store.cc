@@ -10,36 +10,28 @@ constexpr uint8_t kSideRight = 2;
 }  // namespace
 
 MappingStore::MappingStore(std::shared_ptr<StringPool> pool,
-                           NormalizeOptions normalize,
-                           size_t containment_index_shards)
-    : pool_(std::move(pool)), normalize_(normalize) {
-  shards_.resize(containment_index_shards);
-}
+                           NormalizeOptions normalize)
+    : pool_(std::move(pool)), normalize_(normalize) {}
 
 size_t MappingStore::Add(SynthesizedMapping mapping, std::string name) {
-  const size_t n = std::max<size_t>(mapping.size(), 1);
-  Entry e{std::move(name), std::move(mapping), BloomFilter(n),
-          BloomFilter(n), {}, {}};
+  Entry e{std::move(name), std::move(mapping), {}, {}};
   for (const auto& p : e.mapping.merged.pairs()) {
     std::string left(pool_->Get(p.left));
     std::string right(pool_->Get(p.right));
-    e.left_bloom.Add(left);
-    e.right_bloom.Add(right);
     e.left_to_right.emplace(left, right);
     e.right_to_left.emplace(std::move(right), std::move(left));
   }
-  const uint32_t index = static_cast<uint32_t>(entries_.size());
-  if (!shards_.empty()) IndexEntryValues(index, e);
+  IndexEntryValues(static_cast<uint32_t>(entries_.size()), e);
   entries_.push_back(std::move(e));
   return entries_.size() - 1;
 }
 
 void MappingStore::IndexEntryValues(uint32_t entry_index, const Entry& e) {
   // One posting per (value, entry): merge the side bits so a value sitting
-  // on both sides of the same mapping costs one posting, and containment
-  // accumulation sees exactly what the scan's two map probes see.
+  // on both sides of the same mapping costs one posting and counts once per
+  // side, exactly like probing the entry's two maps.
   auto post = [&](const std::string& normed, uint8_t side) {
-    auto& postings = shards_[ShardOf(normed)][normed];
+    auto& postings = containment_[normed];
     if (!postings.empty() && postings.back().entry == entry_index) {
       postings.back().sides |= side;
       return;
@@ -53,8 +45,8 @@ void MappingStore::IndexEntryValues(uint32_t entry_index, const Entry& e) {
 ValueSide MappingStore::Probe(size_t i, const std::string& raw_value) const {
   const Entry& e = entries_[i];
   const std::string v = Norm(raw_value);
-  bool left = e.left_bloom.MayContain(v) && e.left_to_right.count(v) > 0;
-  bool right = e.right_bloom.MayContain(v) && e.right_to_left.count(v) > 0;
+  const bool left = e.left_to_right.count(v) > 0;
+  const bool right = e.right_to_left.count(v) > 0;
   if (left && right) return ValueSide::kBoth;
   if (left) return ValueSide::kLeft;
   if (right) return ValueSide::kRight;
@@ -85,8 +77,8 @@ std::vector<ValueSide> MappingStore::ProbeBatch(
   std::vector<ValueSide> per_slot(distinct.size());
   for (size_t s = 0; s < distinct.size(); ++s) {
     const std::string& v = distinct[s];
-    bool left = e.left_bloom.MayContain(v) && e.left_to_right.count(v) > 0;
-    bool right = e.right_bloom.MayContain(v) && e.right_to_left.count(v) > 0;
+    const bool left = e.left_to_right.count(v) > 0;
+    const bool right = e.right_to_left.count(v) > 0;
     per_slot[s] = left && right ? ValueSide::kBoth
                   : left        ? ValueSide::kLeft
                   : right       ? ValueSide::kRight
@@ -100,64 +92,37 @@ std::vector<ValueSide> MappingStore::ProbeBatch(
 
 std::vector<MappingStore::ContainmentMatch> MappingStore::FindByContainment(
     const std::vector<std::string>& values, size_t min_hits) const {
-  std::vector<std::string> normed;
-  normed.reserve(values.size());
-  for (const auto& v : values) normed.push_back(Norm(v));
-
-  std::vector<ContainmentMatch> out;
-  if (!shards_.empty()) {
-    // Sharded-index path: one posting probe per value, hits accumulated per
-    // entry. Each input occurrence counts (duplicates in `values` score
-    // like the scan's per-value map probes).
-    std::vector<size_t> left_hits(entries_.size(), 0);
-    std::vector<size_t> right_hits(entries_.size(), 0);
-    std::vector<uint32_t> touched;
-    for (const auto& v : normed) {
-      const auto& shard = shards_[ShardOf(v)];
-      auto it = shard.find(v);
-      if (it == shard.end()) continue;
-      for (const Posting& p : it->second) {
-        if (left_hits[p.entry] == 0 && right_hits[p.entry] == 0) {
-          touched.push_back(p.entry);
-        }
-        if (p.sides & kSideLeft) ++left_hits[p.entry];
-        if (p.sides & kSideRight) ++right_hits[p.entry];
+  // One posting probe per input value, hits accumulated per entry. Each
+  // input occurrence counts (duplicates in `values` score once per copy).
+  std::vector<size_t> left_hits(entries_.size(), 0);
+  std::vector<size_t> right_hits(entries_.size(), 0);
+  std::vector<uint32_t> touched;
+  for (const auto& raw : values) {
+    auto it = containment_.find(Norm(raw));
+    if (it == containment_.end()) continue;
+    for (const Posting& p : it->second) {
+      if (left_hits[p.entry] == 0 && right_hits[p.entry] == 0) {
+        touched.push_back(p.entry);
       }
-    }
-    if (min_hits == 0) {
-      // Degenerate request: the scan returns every entry (0 hits >= 0), so
-      // the index path must too.
-      touched.resize(entries_.size());
-      for (uint32_t i = 0; i < touched.size(); ++i) touched[i] = i;
-    } else {
-      std::sort(touched.begin(), touched.end());
-    }
-    for (uint32_t entry : touched) {
-      ContainmentMatch m;
-      m.index = entry;
-      m.left_hits = left_hits[entry];
-      m.right_hits = right_hits[entry];
-      if (m.total() >= min_hits) out.push_back(m);
-    }
-  } else {
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      ContainmentMatch m;
-      m.index = i;
-      for (const auto& v : normed) {
-        if (e.left_bloom.MayContain(v) && e.left_to_right.count(v)) {
-          ++m.left_hits;
-        }
-        if (e.right_bloom.MayContain(v) && e.right_to_left.count(v)) {
-          ++m.right_hits;
-        }
-      }
-      if (m.total() >= min_hits) out.push_back(m);
+      if (p.sides & kSideLeft) ++left_hits[p.entry];
+      if (p.sides & kSideRight) ++right_hits[p.entry];
     }
   }
-  // Deterministic rank: hits descending, then mapping index ascending. The
-  // explicit tie-break makes the scan and index paths byte-identical (and
-  // app results stable across store layouts).
+  if (min_hits == 0) {
+    // Degenerate request: every entry qualifies (0 hits >= 0).
+    touched.resize(entries_.size());
+    for (uint32_t i = 0; i < touched.size(); ++i) touched[i] = i;
+  }
+  std::vector<ContainmentMatch> out;
+  for (uint32_t entry : touched) {
+    ContainmentMatch m;
+    m.index = entry;
+    m.left_hits = left_hits[entry];
+    m.right_hits = right_hits[entry];
+    if (m.total() >= min_hits) out.push_back(m);
+  }
+  // Deterministic rank: hits descending, then mapping index ascending, so
+  // app results do not depend on posting visit order.
   std::sort(out.begin(), out.end(),
             [](const ContainmentMatch& a, const ContainmentMatch& b) {
               if (a.total() != b.total()) return a.total() > b.total();

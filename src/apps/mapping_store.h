@@ -4,6 +4,11 @@
 // filters) for efficient lookup based on value containment. Such logic is
 // both simple to implement and easy to scale.").
 //
+// Two hash layers serve every lookup: per mapping, left->right and
+// right->left maps answer Probe/Lookup*; across mappings, one value ->
+// postings map (built by Add) answers FindByContainment with one probe per
+// input value instead of a scan over every mapping.
+//
 // All lookups normalize their inputs with the same rules the synthesis
 // pipeline used, so raw user values ("CA ", "California[1]") hit.
 //
@@ -21,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/bloom_filter.h"
 #include "synth/mapping.h"
 #include "table/string_pool.h"
 #include "text/normalize.h"
@@ -33,16 +37,8 @@ enum class ValueSide { kNone = 0, kLeft, kRight, kBoth };
 
 class MappingStore {
  public:
-  /// `containment_index_shards` > 0 builds a hash-sharded value→posting
-  /// index maintained by Add, turning FindByContainment from an
-  /// O(entries × values) scan into O(values) posting probes — the
-  /// domain-sharded layout for many-mapping stores (shards bound the size
-  /// of any one probe table; results are identical to the scan by
-  /// construction and locked down by a differential test). 0 keeps the
-  /// bloom-screened scan.
   explicit MappingStore(std::shared_ptr<StringPool> pool,
-                        NormalizeOptions normalize = {},
-                        size_t containment_index_shards = 0);
+                        NormalizeOptions normalize = {});
 
   /// Registers a curated mapping under a human-readable name. Returns its
   /// index. Not thread-safe against any concurrent method — build first,
@@ -54,7 +50,6 @@ class MappingStore {
     return entries_[i].mapping;
   }
   const std::string& name(size_t i) const { return entries_[i].name; }
-  size_t containment_index_shards() const { return shards_.size(); }
 
   /// Which side(s) of mapping `i` contain the (raw) value.
   ValueSide Probe(size_t i, const std::string& raw_value) const;
@@ -67,10 +62,10 @@ class MappingStore {
       size_t i, const std::vector<std::string>& raw_values) const;
 
   /// Containment search: mappings ranked by how many of `values` they
-  /// contain on either side (ties broken by ascending mapping index, so
-  /// scan and sharded-index paths rank identically). Bloom filters screen
-  /// out non-candidates before exact hash probes on the scan path. Only
-  /// mappings with >= min_hits matches return.
+  /// contain on either side (ties broken by ascending mapping index). Each
+  /// input occurrence counts, so duplicates in `values` score once per
+  /// copy. O(values + postings touched) through the containment index.
+  /// Only mappings with >= min_hits matches return.
   struct ContainmentMatch {
     size_t index = 0;
     size_t left_hits = 0;
@@ -122,13 +117,11 @@ class MappingStore {
   struct Entry {
     std::string name;
     SynthesizedMapping mapping;
-    BloomFilter left_bloom;
-    BloomFilter right_bloom;
     std::unordered_map<std::string, std::string> left_to_right;
     std::unordered_map<std::string, std::string> right_to_left;
   };
 
-  /// Sharded-index posting: which entry contains a value, on which sides.
+  /// Containment-index posting: which entry holds a value, on which sides.
   struct Posting {
     uint32_t entry = 0;
     uint8_t sides = 0;  ///< bit 0 = left, bit 1 = right
@@ -136,9 +129,6 @@ class MappingStore {
 
   std::string Norm(const std::string& raw) const {
     return NormalizeCell(raw, normalize_);
-  }
-  size_t ShardOf(const std::string& normed) const {
-    return std::hash<std::string>{}(normed) % shards_.size();
   }
   void IndexEntryValues(uint32_t entry_index, const Entry& e);
   /// Shared batch plumbing: fills `distinct` with one slot per distinct
@@ -157,9 +147,9 @@ class MappingStore {
   std::shared_ptr<StringPool> pool_;
   NormalizeOptions normalize_;
   std::vector<Entry> entries_;
-  /// Containment index, empty when disabled: shard -> normalized value ->
-  /// postings (at most one left + one right bit per entry per value).
-  std::vector<std::unordered_map<std::string, std::vector<Posting>>> shards_;
+  /// Containment index: normalized value -> postings (one per entry holding
+  /// the value, its side bits merged), in ascending entry order.
+  std::unordered_map<std::string, std::vector<Posting>> containment_;
 };
 
 }  // namespace ms

@@ -1,5 +1,5 @@
-// Hashing utilities shared by the bloom filter, inverted indexes, and the
-// mini MapReduce shuffle.
+// Hashing utilities shared by the inverted indexes, blocking, snapshots,
+// and the mini MapReduce shuffle.
 #pragma once
 
 #include <cstddef>
@@ -9,8 +9,8 @@
 
 namespace ms {
 
-/// 64-bit FNV-1a over a byte string. Stable across platforms/runs, which the
-/// MapReduce shuffle and bloom filter rely on for reproducibility.
+/// 64-bit FNV-1a over a byte string. Stable across platforms/runs, which
+/// the snapshot options fingerprint relies on.
 inline uint64_t Fnv1a64(std::string_view data) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : data) {

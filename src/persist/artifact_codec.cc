@@ -15,7 +15,10 @@ void EncodeMatcherStats(const MatcherStats& m, WireWriter* w) {
   w->U64(m.match_calls);
   w->U64(m.myers64_calls);
   w->U64(m.myers_blocked_calls);
-  w->U64(m.banded_calls);
+  // Retired slot: the scalar-fallback call count, which no longer exists.
+  // Format v3 keeps the 8 bytes (written 0, discarded on read) so existing
+  // snapshots stay readable without a version bump.
+  w->U64(0);
   w->U64(m.pattern_cache_hits);
   w->U64(m.pattern_cache_misses);
   w->U64(m.charmask_rejects);
@@ -26,7 +29,7 @@ void DecodeMatcherStats(WireReader* r, MatcherStats* m) {
   m->match_calls = r->U64();
   m->myers64_calls = r->U64();
   m->myers_blocked_calls = r->U64();
-  m->banded_calls = r->U64();
+  (void)r->U64();  // retired scalar-fallback slot, see EncodeMatcherStats
   m->pattern_cache_hits = r->U64();
   m->pattern_cache_misses = r->U64();
   m->charmask_rejects = r->U64();

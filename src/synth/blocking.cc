@@ -1,8 +1,6 @@
 #include "synth/blocking.h"
 
 #include <algorithm>
-#include <mutex>
-#include <unordered_map>
 
 #include "common/flat_hash.h"
 #include "common/hashing.h"
@@ -21,39 +19,6 @@ size_t NextPow2(size_t v) {
   size_t p = 1;
   while (p < v) p <<= 1;
   return p;
-}
-
-// Blocking key spaces shared by both implementations: full value pairs get
-// tag bit 0 (feeds shared_pairs / w+), left values get tag bit 1 (feeds
-// shared_lefts / w-).
-void EmitBlockingKeys(const BinaryTable& b, uint32_t id,
-                      Emitter<uint64_t, uint32_t>& em) {
-  for (const auto& p : b.pairs()) {
-    em.Emit(HashIdPair(p.left, p.right) << 1, id);
-  }
-  for (ValueId l : b.LeftValues()) {
-    em.Emit((Mix64(l) << 1) | 1, id);
-  }
-}
-
-// Appends all co-occurring (i < j) id pairs from one posting list
-// (reference implementation only). Dropped ids go to `tainted` under
-// `tainted_mu` so the reference matches the production per-pair exactness.
-void EmitIdPairs(std::vector<uint32_t>& ids, size_t max_posting,
-                 std::vector<std::pair<uint64_t, bool>>* out, bool is_pair,
-                 std::mutex& tainted_mu, std::vector<uint32_t>* tainted) {
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  if (ids.size() > max_posting) {
-    std::lock_guard<std::mutex> lock(tainted_mu);
-    tainted->insert(tainted->end(), ids.begin() + max_posting, ids.end());
-    ids.resize(max_posting);
-  }
-  for (size_t x = 0; x < ids.size(); ++x) {
-    for (size_t y = x + 1; y < ids.size(); ++y) {
-      out->push_back({(static_cast<uint64_t>(ids[x]) << 32) | ids[y], is_pair});
-    }
-  }
 }
 
 std::vector<CandidateTablePair> CollectAndSort(
@@ -260,6 +225,16 @@ std::vector<std::vector<CandidateTablePair>> CountPairs(
 
 }  // namespace
 
+void EmitBlockingKeys(const BinaryTable& b, uint32_t id,
+                      Emitter<uint64_t, uint32_t>& em) {
+  for (const auto& p : b.pairs()) {
+    em.Emit(HashIdPair(p.left, p.right) << 1, id);
+  }
+  for (ValueId l : b.LeftValues()) {
+    em.Emit((Mix64(l) << 1) | 1, id);
+  }
+}
+
 std::vector<CandidateTablePair> GenerateCandidatePairs(
     const std::vector<BinaryTable>& candidates, const BlockingOptions& options,
     ThreadPool* pool, BlockingStats* stats) {
@@ -372,68 +347,6 @@ std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
     stats->scanned_keys += acct.keys;
     stats->dropped_postings += acct.dropped;
   }
-  return out;
-}
-
-std::vector<CandidateTablePair> GenerateCandidatePairsReference(
-    const std::vector<BinaryTable>& candidates, const BlockingOptions& options,
-    ThreadPool* pool) {
-  // --- MapReduce round: key = hashed value pair (or hashed left value with
-  // a tag bit), value = candidate id. Reduce emits co-occurring id pairs.
-  std::vector<uint32_t> inputs(candidates.size());
-  for (uint32_t i = 0; i < candidates.size(); ++i) inputs[i] = i;
-
-  using KV = std::pair<uint64_t, bool>;  // (packed id pair, is_pair_key)
-  std::mutex tainted_mu;
-  std::vector<uint32_t> tainted_ids;
-  std::function<void(const uint32_t&, Emitter<uint64_t, uint32_t>&)> map_fn =
-      [&](const uint32_t& id, Emitter<uint64_t, uint32_t>& em) {
-        EmitBlockingKeys(candidates[id], id, em);
-      };
-  std::function<void(const uint64_t&, std::vector<uint32_t>&,
-                     std::vector<KV>*)>
-      reduce_fn = [&](const uint64_t& key, std::vector<uint32_t>& ids,
-                      std::vector<KV>* out) {
-        EmitIdPairs(ids, options.max_posting, out, (key & 1) == 0,
-                    tainted_mu, &tainted_ids);
-      };
-
-  auto emitted = RunMapReduce<uint32_t, uint64_t, uint32_t, KV>(
-      inputs, map_fn, reduce_fn, pool);
-
-  // --- Count per id-pair.
-  std::unordered_map<uint64_t, OverlapCounts> counts;
-  counts.reserve(emitted.size());
-  for (const auto& [packed, is_pair] : emitted) {
-    auto& c = counts[packed];
-    if (is_pair) {
-      ++c.pairs;
-    } else {
-      ++c.lefts;
-    }
-  }
-
-  std::vector<uint8_t> tainted;
-  if (!tainted_ids.empty()) {
-    tainted.assign(candidates.size(), 0);
-    for (uint32_t id : tainted_ids) tainted[id] = 1;
-  }
-
-  std::vector<CandidateTablePair> out;
-  for (const auto& [packed, c] : counts) {
-    if (c.pairs >= options.theta_overlap || c.lefts >= options.theta_overlap) {
-      CandidateTablePair p;
-      p.a = static_cast<uint32_t>(packed >> 32);
-      p.b = static_cast<uint32_t>(packed & 0xffffffffu);
-      p.shared_pairs = c.pairs;
-      p.shared_lefts = c.lefts;
-      p.counts_exact = tainted.empty() || (!tainted[p.a] && !tainted[p.b]);
-      out.push_back(p);
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const auto& x, const auto& y) {
-    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-  });
   return out;
 }
 

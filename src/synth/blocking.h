@@ -10,9 +10,9 @@
 // co-occurring id pairs it owns into its own flat count map and emitting
 // the survivors. The quadratic id-pair stream is never materialized, each
 // id pair has exactly one counter, and no merge step follows. Cold and
-// delta (append) blocking share this counting kernel. `GenerateCandidatePairsReference` keeps the original
-// emit-everything-then-count implementation for equivalence tests and
-// benchmarking.
+// delta (append) blocking share this counting kernel. The seed
+// emit-everything-then-count implementation is the equivalence oracle
+// (tests/oracles/blocking_oracle.h); it shares EmitBlockingKeys below.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +20,7 @@
 
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "mr/mapreduce.h"
 #include "table/binary_table.h"
 
 namespace ms {
@@ -52,8 +53,8 @@ struct CandidateTablePair {
   /// cardinalities: neither a nor b was ever dropped from a truncated
   /// posting list, so no list containing both could have lost either of
   /// them. Scoring uses this to skip the exact pair-list merge per pair
-  /// (CompatibilityOptions::reuse_blocking_counts) instead of requiring the
-  /// whole run to be truncation-free.
+  /// (BlockingHint::exact) instead of requiring the whole run to be
+  /// truncation-free.
   bool counts_exact = false;
 };
 
@@ -96,12 +97,12 @@ std::vector<CandidateTablePair> GenerateCandidatePairs(
     const BlockingOptions& options = {}, ThreadPool* pool = nullptr,
     BlockingStats* stats = nullptr);
 
-/// The seed implementation (materialize every co-occurring id pair, then
-/// count in one hash map). Kept as the equivalence oracle for tests and as
-/// the baseline for bench_micro/bench_pr1; do not use on large inputs.
-std::vector<CandidateTablePair> GenerateCandidatePairsReference(
-    const std::vector<BinaryTable>& candidates,
-    const BlockingOptions& options = {}, ThreadPool* pool = nullptr);
+/// Emits candidate `id`'s blocking keys: each full value pair with tag bit
+/// 0 (feeds shared_pairs / w+) and each distinct left value with tag bit 1
+/// (feeds shared_lefts / w-). Every blocking implementation keys through
+/// this one function.
+void EmitBlockingKeys(const BinaryTable& b, uint32_t id,
+                      Emitter<uint64_t, uint32_t>& em);
 
 /// Accounting for one delta-blocking pass (feeds the merged BlockingStats).
 struct DeltaBlockingStats {

@@ -1,6 +1,6 @@
 // Bit-parallel approximate string matching (Myers 1999, Hyyrö 2003).
 //
-// The scalar banded DP in edit_distance.cc costs O(θ_ed · n) cell updates
+// The paper's scalar banded DP (Algorithm 2) costs O(θ_ed · n) cell updates
 // plus two heap allocations per call; on the pair-scoring hot path (the
 // pipeline's dominant stage) that is the inner loop of the whole system.
 // Myers' algorithm encodes a full DP column in two machine words (the
@@ -26,11 +26,10 @@
 //     bit for bit.
 //
 // Both kernels return the exact Levenshtein distance (they are not
-// band-limited approximations), so they agree with `EditDistanceFull`
-// everywhere and with `EditDistanceBanded` whenever the distance fits the
-// band — the property the differential tests in tests/text_test.cc enforce.
-// The scalar banded DP remains the runtime fallback behind
-// `EditDistanceOptions::use_bit_parallel`.
+// band-limited approximations), so they agree with the full-matrix DP
+// everywhere and with the banded DP whenever the distance fits the band —
+// the property the differential tests in tests/text_test.cc enforce against
+// the scalar oracles in tests/oracles/edit_distance_oracle.h.
 #pragma once
 
 #include <array>
@@ -80,8 +79,8 @@ void BuildMyersPattern(std::string_view pattern, MyersPattern* out);
 /// O(⌈m/64⌉ · |text|) word operations, no heap allocation for m ≤ 512.
 size_t MyersDistance(const MyersPattern& pattern, std::string_view text);
 
-/// Band-limited variant with the same contract as EditDistanceBanded:
-/// returns the exact distance when it is <= band, otherwise band + 1. The
+/// Band-limited variant with the banded DP's contract: returns the exact
+/// distance when it is <= band, otherwise band + 1. The
 /// kernel abandons a column early once even the best possible remaining
 /// run of matches (one score decrement per leftover text byte) cannot pull
 /// the score back under the band — the bit-parallel analogue of the banded
@@ -102,7 +101,9 @@ struct MatcherStats {
   size_t match_calls = 0;          ///< Match() invocations
   size_t myers64_calls = 0;        ///< single-word kernel runs
   size_t myers_blocked_calls = 0;  ///< multi-word kernel runs
-  size_t banded_calls = 0;         ///< scalar fallback runs (gate off)
+  /// Always 0: the scalar fallback it counted is gone. Kept so existing
+  /// readers of the kernel mix keep compiling; snapshots do not store it.
+  size_t banded_calls = 0;
   size_t pattern_cache_hits = 0;   ///< mask tables reused
   size_t pattern_cache_misses = 0; ///< mask tables built
   size_t charmask_rejects = 0;     ///< pairs rejected before any kernel run
@@ -112,7 +113,6 @@ struct MatcherStats {
     match_calls += o.match_calls;
     myers64_calls += o.myers64_calls;
     myers_blocked_calls += o.myers_blocked_calls;
-    banded_calls += o.banded_calls;
     pattern_cache_hits += o.pattern_cache_hits;
     pattern_cache_misses += o.pattern_cache_misses;
     charmask_rejects += o.charmask_rejects;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "oracles/blocking_oracle.h"
 #include "synth/blocking.h"
 #include "table/string_pool.h"
 

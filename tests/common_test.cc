@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: Status/Result, string helpers,
-// hashing, bloom filter, RNG, and thread pool.
+// hashing, RNG, and thread pool.
 #include <atomic>
 #include <set>
 #include <string>
@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/bloom_filter.h"
 #include "common/hashing.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -132,44 +131,6 @@ TEST(HashingTest, Mix64Bijective) {
 
 TEST(HashingTest, HashIdPairOrderSensitive) {
   EXPECT_NE(HashIdPair(1, 2), HashIdPair(2, 1));
-}
-
-// ------------------------------------------------------------ BloomFilter
-
-TEST(BloomFilterTest, NoFalseNegatives) {
-  BloomFilter bf(1000, 0.01);
-  for (int i = 0; i < 1000; ++i) bf.Add("key" + std::to_string(i));
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(bf.MayContain("key" + std::to_string(i)));
-  }
-}
-
-TEST(BloomFilterTest, FalsePositiveRateNearTarget) {
-  BloomFilter bf(2000, 0.01);
-  for (int i = 0; i < 2000; ++i) bf.Add("in" + std::to_string(i));
-  int fp = 0;
-  const int probes = 20000;
-  for (int i = 0; i < probes; ++i) {
-    if (bf.MayContain("out" + std::to_string(i))) ++fp;
-  }
-  const double rate = static_cast<double>(fp) / probes;
-  EXPECT_LT(rate, 0.05);  // target 1%, generous bound
-  EXPECT_GT(bf.EstimatedFpRate(), 0.0);
-  EXPECT_LT(bf.EstimatedFpRate(), 0.05);
-}
-
-TEST(BloomFilterTest, EmptyFilterContainsNothing) {
-  BloomFilter bf(10);
-  EXPECT_FALSE(bf.MayContain("anything"));
-  EXPECT_EQ(bf.inserted_count(), 0u);
-}
-
-TEST(BloomFilterTest, HandlesDegenerateSizing) {
-  BloomFilter bf(0, 2.0);  // clamped internally
-  bf.Add("x");
-  EXPECT_TRUE(bf.MayContain("x"));
-  EXPECT_GE(bf.hash_count(), 1);
-  EXPECT_GE(bf.bit_count(), 64u);
 }
 
 // -------------------------------------------------------------------- Rng

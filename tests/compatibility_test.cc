@@ -2,7 +2,8 @@
 // max-containment w+ (Equation 3, Examples 7-8) and negative conflict score
 // w- (Equation 4, Example 9), with approximate matching and synonyms — and
 // differential coverage holding the batched Myers fast path byte-identical
-// to the seed scalar implementation (ComputeCompatibilityReference).
+// to the seed scalar implementation (ComputeCompatibilityReference, in
+// tests/oracles/compatibility_oracle.h).
 #include <memory>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "oracles/compatibility_oracle.h"
 #include "synth/blocking.h"
 #include "synth/compatibility.h"
 #include "table/string_pool.h"
@@ -242,30 +244,33 @@ class FastPathFixture : public ::testing::Test {
 };
 
 TEST_F(FastPathFixture, BatchMatcherAgreesWithValuesMatch) {
+  // The batch matcher and the per-call ValuesMatch (both Myers-backed) must
+  // agree with the banded-DP twin on every fuzzed value pair.
   Rng rng(71);
   auto ids = MakeUniverse(rng, 160);
   SynonymDictionary dict(pool_);
   dict.AddSynonym("entity 0", "entity 1");
   for (const bool approx : {true, false}) {
-    for (const bool gate : {true, false}) {
-      const SynonymDictionary* configs[] = {nullptr, &dict};
-      for (const SynonymDictionary* syn : configs) {
-        CompatibilityOptions opts;
-        opts.approximate_matching = approx;
-        opts.edit.use_bit_parallel = gate;
-        opts.synonyms = syn;
-        BatchApproxMatcher matcher(*pool_, opts.edit, approx, syn);
-        for (int i = 0; i < 4000; ++i) {
-          const ValueId a = rng.Pick(ids);
-          const ValueId b = rng.Pick(ids);
-          ASSERT_EQ(matcher.Match(a, b), ValuesMatch(a, b, *pool_, opts))
-              << pool_->Get(a) << " vs " << pool_->Get(b) << " approx="
-              << approx << " gate=" << gate << " syn=" << (syn != nullptr);
-        }
-        EXPECT_EQ(matcher.stats().match_calls, 4000u);
-        if (approx && gate) {
-          EXPECT_GT(matcher.stats().pattern_cache_hits, 0u);
-        }
+    const SynonymDictionary* configs[] = {nullptr, &dict};
+    for (const SynonymDictionary* syn : configs) {
+      CompatibilityOptions opts;
+      opts.approximate_matching = approx;
+      opts.synonyms = syn;
+      BatchApproxMatcher matcher(*pool_, opts.edit, approx, syn);
+      for (int i = 0; i < 8000; ++i) {
+        const ValueId a = rng.Pick(ids);
+        const ValueId b = rng.Pick(ids);
+        const bool want = ReferenceValuesMatch(a, b, *pool_, opts);
+        ASSERT_EQ(matcher.Match(a, b), want)
+            << pool_->Get(a) << " vs " << pool_->Get(b) << " approx="
+            << approx << " syn=" << (syn != nullptr);
+        ASSERT_EQ(ValuesMatch(a, b, *pool_, opts), want)
+            << pool_->Get(a) << " vs " << pool_->Get(b) << " approx="
+            << approx << " syn=" << (syn != nullptr);
+      }
+      EXPECT_EQ(matcher.stats().match_calls, 8000u);
+      if (approx) {
+        EXPECT_GT(matcher.stats().pattern_cache_hits, 0u);
       }
     }
   }
@@ -277,23 +282,18 @@ TEST_F(FastPathFixture, FastPathMatchesReferenceOnRandomTables) {
   auto rights = MakeUniverse(rng, 40);
   SynonymDictionary dict(pool_);
   dict.AddSynonym("entity 2", "entity 3");
-  for (int round = 0; round < 120; ++round) {
+  for (int round = 0; round < 240; ++round) {
     BinaryTable a = RandomTable(rng, lefts, rights);
     BinaryTable b = RandomTable(rng, lefts, rights);
     for (const bool approx : {true, false}) {
-      for (const bool gate : {true, false}) {
-        CompatibilityOptions opts;
-        opts.approximate_matching = approx;
-        opts.edit.use_bit_parallel = gate;
-        if (round % 3 == 0) opts.synonyms = &dict;
-        const PairScores ref = ComputeCompatibilityReference(a, b, *pool_,
-                                                             opts);
-        const PairScores fast = ComputeCompatibility(a, b, *pool_, opts);
-        ExpectSameScores(fast, ref,
-                         "round " + std::to_string(round) + " approx=" +
-                             std::to_string(approx) + " gate=" +
-                             std::to_string(gate));
-      }
+      CompatibilityOptions opts;
+      opts.approximate_matching = approx;
+      if (round % 3 == 0) opts.synonyms = &dict;
+      const PairScores ref = ComputeCompatibilityReference(a, b, *pool_, opts);
+      const PairScores fast = ComputeCompatibility(a, b, *pool_, opts);
+      ExpectSameScores(fast, ref,
+                       "round " + std::to_string(round) +
+                           " approx=" + std::to_string(approx));
     }
   }
 }
@@ -318,7 +318,6 @@ TEST_F(FastPathFixture, BlockingHintReuseIsExact) {
 
   CompatibilityOptions opts;
   opts.approximate_matching = false;
-  ASSERT_TRUE(opts.reuse_blocking_counts);
   BatchApproxMatcher matcher(*pool_, opts.edit, false, nullptr);
   ScoringStats sstats;
   for (const auto& p : pairs) {

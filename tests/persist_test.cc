@@ -404,8 +404,6 @@ TEST(SessionSnapshotTest, FingerprintMismatchIsFailedPrecondition) {
   SynthesisOptions tuned = FastOptions();
   tuned.num_threads = 2;
   tuned.matcher_cache_cap = 123;
-  tuned.compat.edit.use_bit_parallel = false;
-  tuned.compat.reuse_blocking_counts = false;
   SynthesisSession tuned_session(tuned);
   auto ok_restore = tuned_session.RestoreSnapshot(path);
   EXPECT_TRUE(ok_restore.ok()) << ok_restore.status().ToString();

@@ -3,8 +3,8 @@
 // the fail-closed transition contract (a failed transition leaves store,
 // pool, artifacts, corpus, options, and health() bit-identical), the
 // ServiceHealth reset semantics, the recoverable append protocol
-// (merge rollback on failure), and the batched/sharded lookup paths'
-// equivalence with the scalar/scan oracles.
+// (merge rollback on failure), and the batched lookup paths' and the
+// containment index's equivalence with scalar/scan oracles.
 //
 // Chain failures are injected with MappingService::InjectFaultForTests —
 // the CPU-side analog of the persistence FaultInjectionEnv sweep
@@ -15,6 +15,7 @@
 // The multi-threaded half of the serving contract (torture appends under
 // read load, readers during Resynthesize) lives in
 // tests/serving_concurrency_test.cc under the `concurrency` ctest label.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -806,9 +807,46 @@ TEST(BatchLookupTest, BatchedLookupsMatchScalarOracle) {
   EXPECT_FALSE(out_of_range[0].has_value());
 }
 
-// ==================================================== ShardedStoreTest
+// ================================================= ContainmentIndexTest
 
-TEST(ShardedStoreTest, ShardedContainmentMatchesScanOracle) {
+/// The containment contract spelled out as a scan: every mapping, every
+/// input occurrence, one hit per side that holds the normalized value.
+std::vector<MappingStore::ContainmentMatch> NaiveContainment(
+    const MappingStore& store, const std::vector<std::string>& values,
+    size_t min_hits) {
+  std::vector<MappingStore::ContainmentMatch> out;
+  for (size_t i = 0; i < store.size(); ++i) {
+    MappingStore::ContainmentMatch m;
+    m.index = i;
+    for (const auto& v : values) {
+      const ValueSide side = store.Probe(i, v);
+      if (side == ValueSide::kLeft || side == ValueSide::kBoth) ++m.left_hits;
+      if (side == ValueSide::kRight || side == ValueSide::kBoth) {
+        ++m.right_hits;
+      }
+    }
+    if (m.total() >= min_hits) out.push_back(m);
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const MappingStore::ContainmentMatch& a,
+                      const MappingStore::ContainmentMatch& b) {
+                     return a.total() > b.total();
+                   });
+  return out;
+}
+
+void ExpectSameMatches(const std::vector<MappingStore::ContainmentMatch>& got,
+                       const std::vector<MappingStore::ContainmentMatch>& want,
+                       const std::string& ctx) {
+  ASSERT_EQ(got.size(), want.size()) << ctx;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].index, want[i].index) << ctx << " match " << i;
+    EXPECT_EQ(got[i].left_hits, want[i].left_hits) << ctx << " match " << i;
+    EXPECT_EQ(got[i].right_hits, want[i].right_hits) << ctx << " match " << i;
+  }
+}
+
+TEST(ContainmentIndexTest, MatchesNaiveScanOnServedMappings) {
   Rng rng(601);
   auto specs = SmallCorpusSpec(rng, 12);
   TableCorpus corpus;
@@ -816,67 +854,59 @@ TEST(ShardedStoreTest, ShardedContainmentMatchesScanOracle) {
   MappingService svc(ServingOptions());
   ASSERT_TRUE(svc.Synthesize(corpus).ok());
   const auto snap = svc.AcquireSnapshot();
-  ASSERT_GT(snap->store->size(), 0u);
+  const MappingStore& store = *snap->store;
+  ASSERT_GT(store.size(), 1u);
 
-  // Same mappings, one scan store and several sharded ones.
-  auto build = [&](size_t shards) {
-    auto store = std::make_unique<MappingStore>(
-        snap->pool, SynthesisOptions{}.extraction.normalize, shards);
-    for (const auto& m : snap->result->mappings) {
-      store->Add(m, m.left_label + "->" + m.right_label);
-    }
-    return store;
-  };
-  const auto scan = build(0);
-  for (const size_t shards : {1u, 4u, 13u}) {
-    const auto sharded = build(shards);
-    EXPECT_EQ(sharded->containment_index_shards(), shards);
-    for (size_t round = 0; round < 30; ++round) {
-      const auto probes = ProbeMix(rng, *snap, 1 + rng.Uniform(30));
-      const size_t min_hits = rng.Uniform(4);
-      const auto a = scan->FindByContainment(probes, min_hits);
-      const auto b = sharded->FindByContainment(probes, min_hits);
-      ASSERT_EQ(a.size(), b.size())
-          << "shards=" << shards << " min_hits=" << min_hits;
-      for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].index, b[i].index) << "match " << i;
-        EXPECT_EQ(a[i].left_hits, b[i].left_hits) << "match " << i;
-        EXPECT_EQ(a[i].right_hits, b[i].right_hits) << "match " << i;
-      }
+  // ProbeMix repeats a prefix slice, so duplicate probe values are in
+  // every round; min_hits sweeps 0..3 in every round too.
+  for (size_t round = 0; round < 30; ++round) {
+    const auto probes = ProbeMix(rng, *snap, 1 + rng.Uniform(30));
+    for (size_t min_hits = 0; min_hits <= 3; ++min_hits) {
+      ExpectSameMatches(store.FindByContainment(probes, min_hits),
+                        NaiveContainment(store, probes, min_hits),
+                        "round " + std::to_string(round) + " min_hits=" +
+                            std::to_string(min_hits));
     }
   }
 }
 
-TEST(ShardedStoreTest, ServiceLevelShardingKeepsAppResultsIdentical) {
-  Rng rng(602);
-  auto specs = SmallCorpusSpec(rng, 12);
-  TableCorpus corpus_a, corpus_b;
-  AddSpecs(&corpus_a, specs, 0, specs.size());
-  AddSpecs(&corpus_b, specs, 0, specs.size());
+TEST(ContainmentIndexTest, DuplicatesAndBothSidedValuesCountPerOccurrence) {
+  // Mapping 0 holds "ohio" on both sides (oh -> ohio, ohio -> oh state);
+  // mapping 1 holds it on the left only. Duplicate and unnormalized probes
+  // must count once per occurrence, per side.
+  auto pool = std::make_shared<StringPool>();
+  auto mapping = [&](std::vector<std::pair<std::string, std::string>> rows) {
+    std::vector<ValuePair> pairs;
+    for (const auto& [l, r] : rows) {
+      pairs.push_back({pool->Intern(l), pool->Intern(r)});
+    }
+    SynthesizedMapping m;
+    m.merged = BinaryTable::FromPairs(std::move(pairs));
+    return m;
+  };
+  MappingStore store(pool);
+  store.Add(mapping({{"oh", "ohio"}, {"ohio", "oh state"}, {"ia", "iowa"}}),
+            "both");
+  store.Add(mapping({{"ohio", "columbus"}, {"iowa", "des moines"}}), "left");
+  ASSERT_EQ(store.Probe(0, "Ohio "), ValueSide::kBoth);
 
-  MappingService plain(ServingOptions());
-  ASSERT_TRUE(plain.Synthesize(corpus_a).ok());
-  MappingService sharded(ServingOptions());
-  sharded.set_containment_index_shards(8);
-  ASSERT_TRUE(sharded.Synthesize(corpus_b).ok());
-  ASSERT_EQ(sharded.store().containment_index_shards(), 8u);
-  ASSERT_EQ(plain.num_mappings(), sharded.num_mappings());
-
-  const auto snap = plain.AcquireSnapshot();
-  for (size_t round = 0; round < 10; ++round) {
-    const auto column = ProbeMix(rng, *snap, 12);
-    const auto ca = plain.SuggestCorrections(column);
-    const auto cb = sharded.SuggestCorrections(column);
-    EXPECT_EQ(ca.mapping_index, cb.mapping_index);
-    EXPECT_EQ(ca.suggestions.size(), cb.suggestions.size());
-
-    const auto keys = ProbeMix(rng, *snap, 10);
-    const auto rights = ProbeMix(rng, *snap, 10);
-    const auto ja = plain.AutoJoin(keys, rights);
-    const auto jb = sharded.AutoJoin(keys, rights);
-    EXPECT_EQ(ja.mapping_index, jb.mapping_index);
-    EXPECT_EQ(ja.pairs.size(), jb.pairs.size());
+  const std::vector<std::string> probes = {"ohio", "OHIO", "ohio ", "iowa",
+                                           "nowhere"};
+  for (size_t min_hits = 0; min_hits <= 3; ++min_hits) {
+    ExpectSameMatches(store.FindByContainment(probes, min_hits),
+                      NaiveContainment(store, probes, min_hits),
+                      "min_hits=" + std::to_string(min_hits));
   }
+  const auto ranked = store.FindByContainment(probes, 1);
+  ASSERT_EQ(ranked.size(), 2u);
+  EXPECT_EQ(ranked[0].index, 0u);
+  EXPECT_EQ(ranked[0].left_hits, 3u);   // three "ohio" copies
+  EXPECT_EQ(ranked[0].right_hits, 4u);  // three "ohio" + one "iowa"
+  EXPECT_EQ(ranked[1].index, 1u);
+  EXPECT_EQ(ranked[1].left_hits, 4u);
+  EXPECT_EQ(ranked[1].right_hits, 0u);
+  EXPECT_TRUE(store.FindByContainment({"nowhere"}, 1).empty());
+  EXPECT_EQ(store.FindByContainment({}, 0).size(), 2u);
 }
 
 }  // namespace

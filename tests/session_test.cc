@@ -15,7 +15,7 @@
 #include "apps/serving.h"
 #include "corpusgen/builtin_domains.h"
 #include "corpusgen/generator.h"
-#include "synth/pipeline.h"
+#include "oracles/blocking_oracle.h"
 #include "synth/session.h"
 #include "table/tsv.h"
 
@@ -69,8 +69,11 @@ TEST(SessionStagedTest, StagedRunMatchesMonolithicByteIdentically) {
   GeneratedWorld world = SmallWorld(41);
   const StringPool& pool = world.corpus.pool();
 
-  // Monolithic: the legacy wrapper.
-  SynthesisResult mono = SynthesisPipeline(FastOptions()).Run(world.corpus);
+  // Monolithic: one Run() call on a fresh session.
+  SynthesisSession mono_session(FastOptions());
+  auto mono_run = mono_session.Run(world.corpus);
+  ASSERT_TRUE(mono_run.ok()) << mono_run.status().ToString();
+  const SynthesisResult& mono = mono_run.value();
 
   // Staged: every stage explicit.
   SynthesisSession session(FastOptions());
@@ -126,8 +129,10 @@ TEST(SessionStagedTest, WarmRescoreSkipsExtractionAndBlocking) {
 
   // Warm result must be byte-identical to a cold run under the same
   // options (warm state is a speed lever, never a results lever).
-  SynthesisResult cold = SynthesisPipeline(tweaked).Run(world.corpus);
-  EXPECT_EQ(CanonicalMappings(cold, pool),
+  SynthesisSession cold_session(tweaked);
+  auto cold = cold_session.Run(world.corpus);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(CanonicalMappings(cold.value(), pool),
             CanonicalMappings(warm.value(), pool));
 }
 

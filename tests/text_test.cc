@@ -1,13 +1,16 @@
 // Tests for cell normalization, the banded edit distance of Algorithm 2
 // (validated against the full-matrix reference on random inputs), the
 // bit-parallel Myers kernels (locked to the full DP by a differential fuzz
-// harness), the fractional matching threshold, and the synonym dictionary.
+// harness), the fractional matching threshold (production ApproxMatch
+// against its banded-DP twin), and the synonym dictionary. The scalar DPs
+// are test oracles (tests/oracles/edit_distance_oracle.h).
 #include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "oracles/edit_distance_oracle.h"
 #include "text/edit_distance.h"
 #include "text/myers.h"
 #include "text/normalize.h"
@@ -330,11 +333,8 @@ TEST_P(MyersDifferentialTest, AllImplementationsAgree) {
       }
     }
 
-    // The ApproxMatch predicate is gate-invariant.
-    EditDistanceOptions fast, slow;
-    fast.use_bit_parallel = true;
-    slow.use_bit_parallel = false;
-    EXPECT_EQ(ApproxMatch(c.a, c.b, fast), ApproxMatch(c.a, c.b, slow))
+    // The Myers-backed ApproxMatch agrees with its banded-DP twin.
+    EXPECT_EQ(ApproxMatch(c.a, c.b), ReferenceApproxMatch(c.a, c.b))
         << "iter=" << iter;
   }
 }
@@ -345,16 +345,24 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, MyersDifferentialTest,
 
 // ----------------------------------------------------- ApproxMatch properties
 
-TEST(ApproxMatchPropertyTest, SymmetricUnderBothGates) {
+/// The production predicate and its banded-DP twin, so every property below
+/// holds for both and they agree on every case.
+using MatchPredicate = bool (*)(std::string_view, std::string_view,
+                                const EditDistanceOptions&);
+constexpr MatchPredicate kMatchPredicates[] = {&ApproxMatch,
+                                               &ReferenceApproxMatch};
+
+TEST(ApproxMatchPropertyTest, SymmetricAndAgreesWithScalarTwin) {
   Rng rng(555);
+  const EditDistanceOptions opts;
   for (int iter = 0; iter < 2000; ++iter) {
     const DiffCase c = MakeDiffCase(rng);
-    for (const bool gate : {true, false}) {
-      EditDistanceOptions opts;
-      opts.use_bit_parallel = gate;
-      EXPECT_EQ(ApproxMatch(c.a, c.b, opts), ApproxMatch(c.b, c.a, opts))
-          << "gate=" << gate << " iter=" << iter;
+    for (const MatchPredicate match : kMatchPredicates) {
+      EXPECT_EQ(match(c.a, c.b, opts), match(c.b, c.a, opts))
+          << "iter=" << iter;
     }
+    EXPECT_EQ(ApproxMatch(c.a, c.b, opts), ReferenceApproxMatch(c.a, c.b, opts))
+        << "iter=" << iter;
   }
 }
 
@@ -381,13 +389,12 @@ TEST(FractionalThresholdTest, EmptyStringBoundaries) {
   EXPECT_EQ(FractionalThreshold("", ""), 0u);
   EXPECT_EQ(FractionalThreshold("", "abcdefghij"), 0u);
   // Equal strings still match (exact equality shortcut), empty-vs-nonempty
-  // never does under any gate.
-  for (const bool gate : {true, false}) {
-    EditDistanceOptions opts;
-    opts.use_bit_parallel = gate;
-    EXPECT_TRUE(ApproxMatch("", "", opts));
-    EXPECT_FALSE(ApproxMatch("", "a", opts));
-    EXPECT_FALSE(ApproxMatch("abcdefghij", "", opts));
+  // never does under either predicate.
+  const EditDistanceOptions opts;
+  for (const MatchPredicate match : kMatchPredicates) {
+    EXPECT_TRUE(match("", "", opts));
+    EXPECT_FALSE(match("", "a", opts));
+    EXPECT_FALSE(match("abcdefghij", "", opts));
   }
 }
 
@@ -415,11 +422,10 @@ TEST(FractionalThresholdTest, CapSaturationBoundary) {
   std::string ten_edits = base, eleven_edits = base;
   for (int i = 0; i < 10; ++i) ten_edits[i] = 'y';
   for (int i = 0; i < 11; ++i) eleven_edits[i] = 'y';
-  for (const bool gate : {true, false}) {
-    EditDistanceOptions opts;
-    opts.use_bit_parallel = gate;
-    EXPECT_TRUE(ApproxMatch(base, ten_edits, opts)) << gate;
-    EXPECT_FALSE(ApproxMatch(base, eleven_edits, opts)) << gate;
+  const EditDistanceOptions opts;
+  for (const MatchPredicate match : kMatchPredicates) {
+    EXPECT_TRUE(match(base, ten_edits, opts));
+    EXPECT_FALSE(match(base, eleven_edits, opts));
   }
 }
 
