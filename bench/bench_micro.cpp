@@ -218,7 +218,7 @@ std::vector<BinaryTable> BlockingWorld(size_t n_tables) {
 void BM_Blocking(benchmark::State& state) {
   auto candidates = BlockingWorld(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(GenerateCandidatePairs(candidates, {}));
+    benchmark::DoNotOptimize(GenerateCandidatePairs(candidates, 0, {}));
   }
 }
 BENCHMARK(BM_Blocking)->Arg(1024)->Arg(8192)->Arg(32768);

@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   BlockingStats bstats;
   const double new_blocking = BestOf([&] {
     bstats = BlockingStats{};
-    new_pairs = GenerateCandidatePairs(candidates, bopts, nullptr, &bstats);
+    new_pairs = GenerateCandidatePairs(candidates, 0, bopts, nullptr, &bstats);
   });
 
   bool blocking_equal = ref_pairs.size() == new_pairs.size();

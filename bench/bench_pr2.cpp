@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   std::cout << "blocking...\n" << std::flush;
   BlockingOptions bopts;
   BlockingStats bstats;
-  auto pairs = GenerateCandidatePairs(candidates, bopts, nullptr, &bstats);
+  auto pairs = GenerateCandidatePairs(candidates, 0, bopts, nullptr, &bstats);
   std::cout << "  " << pairs.size() << " candidate pairs to score ("
             << bstats.dropped_postings << " postings dropped, exact_counts="
             << bstats.exact_counts << ")\n";

@@ -152,62 +152,13 @@ bool ColumnPassesCoherence(const ColumnInvertedIndex& index,
 ExtractionResult ExtractCandidates(const TableCorpus& corpus,
                                    const ColumnInvertedIndex& index,
                                    const ExtractionOptions& options,
-                                   ThreadPool* pool) {
+                                   ThreadPool* pool,
+                                   const ExtractionBase& base) {
   ExtractionResult result;
   auto shared_pool = corpus.shared_pool();
   ShardedNormalizationCache norm(shared_pool.get(), options.normalize);
 
-  const auto& tables = corpus.tables();
-  std::vector<std::vector<BinaryTable>> per_table(tables.size());
-  std::vector<std::vector<uint32_t>> per_kept(tables.size());
-  std::vector<std::vector<CoherenceProfile>> per_margin(tables.size());
-  std::vector<ExtractionStats> per_stats(tables.size());
-  const bool margins_on = options.coherence_threshold > -1.0;
-
-  auto process = [&](size_t ti) {
-    const Table& t = tables[ti];
-    ExtractionStats& st = per_stats[ti];
-    ComputeKeptColumns(t, index, options, &st, &per_kept[ti],
-                       margins_on ? &per_margin[ti] : nullptr);
-    ExtractFromKept(t, per_kept[ti], corpus.pool(), &norm, options, &st,
-                    &per_table[ti]);
-  };
-
-  if (pool) {
-    pool->ParallelFor(tables.size(), process);
-  } else {
-    for (size_t i = 0; i < tables.size(); ++i) process(i);
-  }
-
-  result.stats.normalize_cache_hits = norm.hits();
-  result.stats.normalize_cache_misses = norm.misses();
-  for (size_t i = 0; i < tables.size(); ++i) {
-    result.stats.tables_seen += per_stats[i].tables_seen;
-    result.stats.columns_seen += per_stats[i].columns_seen;
-    result.stats.columns_kept += per_stats[i].columns_kept;
-    result.stats.pairs_considered += per_stats[i].pairs_considered;
-    result.stats.pairs_kept += per_stats[i].pairs_kept;
-    for (auto& cand : per_table[i]) {
-      cand.id = static_cast<BinaryTableId>(result.candidates.size());
-      result.candidates.push_back(std::move(cand));
-    }
-  }
-  BuildCsr(per_kept, &result.kept_offsets, &result.kept_columns);
-  if (margins_on) {
-    BuildCsr(per_margin, &result.margin_offsets, &result.margins);
-  }
-  return result;
-}
-
-DeltaExtractionResult ExtractCandidatesDelta(
-    const TableCorpus& corpus, const ColumnInvertedIndex& index,
-    const DeltaExtractionRequest& request, const ExtractionOptions& options,
-    ThreadPool* pool) {
-  DeltaExtractionResult result;
-  auto shared_pool = corpus.shared_pool();
-  ShardedNormalizationCache norm(shared_pool.get(), options.normalize);
-
-  const size_t first_new_table = request.first_new_table;
+  const size_t first_new_table = base.first_new_table;
   const auto& tables = corpus.tables();
   std::vector<std::vector<BinaryTable>> per_table(tables.size());
   std::vector<std::vector<uint32_t>> per_kept(tables.size());
@@ -218,16 +169,26 @@ DeltaExtractionResult ExtractCandidatesDelta(
   std::atomic<size_t> rechecks{0};
   const bool margins_on = options.coherence_threshold > -1.0;
 
+  // Base margin slices are usable only when the base run recorded them in
+  // the expected CSR shape (pre-v3 snapshots restore without any).
+  const bool have_margins =
+      margins_on && first_new_table > 0 && base.margin_offsets != nullptr &&
+      base.margins != nullptr &&
+      base.margin_offsets->size() == first_new_table + 1;
+
   // The touched-value set: values whose column frequency (and hence any
   // co-occurrence involving them) may have moved under this mutation —
   // everything the removed tables held plus everything the appended tables
-  // hold. A live old column containing none of them kept all its counts,
-  // so its cached margin bound applies.
-  std::unordered_set<ValueId> touched(request.removed_values.begin(),
-                                      request.removed_values.end());
-  for (size_t ti = first_new_table; ti < tables.size(); ++ti) {
-    for (const Column& c : tables[ti].columns) {
-      touched.insert(c.cells.begin(), c.cells.end());
+  // hold. A live base column containing none of them kept all its counts,
+  // so its cached margin bound applies. Only the margin path reads it, so a
+  // cold run (no base tables) never builds it.
+  std::unordered_set<ValueId> touched;
+  if (have_margins) {
+    touched.insert(base.removed_values.begin(), base.removed_values.end());
+    for (size_t ti = first_new_table; ti < tables.size(); ++ti) {
+      for (const Column& c : tables[ti].columns) {
+        touched.insert(c.cells.begin(), c.cells.end());
+      }
     }
   }
   auto column_touched = [&](const Column& c) {
@@ -238,14 +199,7 @@ DeltaExtractionResult ExtractCandidatesDelta(
     return false;
   };
 
-  // Base margin slices are usable only when the base run recorded them in
-  // the expected CSR shape (pre-v3 snapshots restore without any).
-  const bool have_margins =
-      margins_on && request.base_margin_offsets != nullptr &&
-      request.base_margins != nullptr &&
-      request.base_margin_offsets->size() == first_new_table + 1;
-
-  auto process_old = [&](size_t ti) {
+  auto process_base = [&](size_t ti) {
     const Table& t = tables[ti];
     auto& kept = per_kept[ti];
     auto& margin = per_margin[ti];
@@ -254,24 +208,20 @@ DeltaExtractionResult ExtractCandidatesDelta(
       // is empty by construction and index-independent.
       return;
     }
-    const uint32_t mbegin =
-        have_margins ? (*request.base_margin_offsets)[ti] : 0;
-    const uint32_t mend =
-        have_margins ? (*request.base_margin_offsets)[ti + 1] : 0;
-    const bool slice_ok =
-        have_margins && mend - mbegin == t.num_columns();
+    const uint32_t mbegin = have_margins ? (*base.margin_offsets)[ti] : 0;
+    const uint32_t mend = have_margins ? (*base.margin_offsets)[ti + 1] : 0;
+    const bool slice_ok = have_margins && mend - mbegin == t.num_columns();
     const size_t n_now = index.num_columns();
     for (size_t c = 0; c < t.columns.size(); ++c) {
       bool pass;
       if (!margins_on) {
         pass = true;
       } else if (slice_ok && !column_touched(t.columns[c]) &&
-                 CoherenceVerdictStable(
-                     (*request.base_margins)[mbegin + c],
-                     options.coherence_threshold, n_now)) {
+                 CoherenceVerdictStable((*base.margins)[mbegin + c],
+                                        options.coherence_threshold, n_now)) {
         // Counts provably unchanged + bound says the verdict cannot have
         // flipped: reuse it without touching a posting list.
-        const CoherenceProfile& p = (*request.base_margins)[mbegin + c];
+        const CoherenceProfile& p = (*base.margins)[mbegin + c];
         pass = p.score >= options.coherence_threshold;
         margin.push_back(p);
         skips.fetch_add(1, std::memory_order_relaxed);
@@ -285,11 +235,11 @@ DeltaExtractionResult ExtractCandidatesDelta(
     }
     // Signature comparison: a changed kept set means the base candidates
     // of this table no longer match what a cold rebuild would extract.
-    const uint32_t begin = (*request.base_kept_offsets)[ti];
-    const uint32_t end = (*request.base_kept_offsets)[ti + 1];
+    const uint32_t begin = (*base.kept_offsets)[ti];
+    const uint32_t end = (*base.kept_offsets)[ti + 1];
     if (kept.size() != end - begin ||
         !std::equal(kept.begin(), kept.end(),
-                    request.base_kept_columns->begin() + begin)) {
+                    base.kept_columns->begin() + begin)) {
       flipped[ti] = 1;
       ExtractionStats scratch;  // counters excluded from result.stats
       ExtractFromKept(t, kept, corpus.pool(), &norm, options, &scratch,
@@ -299,14 +249,14 @@ DeltaExtractionResult ExtractCandidatesDelta(
 
   auto process = [&](size_t ti) {
     if (ti < first_new_table) {
-      if (std::binary_search(request.removed_tables.begin(),
-                             request.removed_tables.end(),
+      if (std::binary_search(base.removed_tables.begin(),
+                             base.removed_tables.end(),
                              static_cast<TableId>(ti))) {
         // Tombstoned this mutation: empty signature, no flip, no margins —
         // the caller retires its candidates directly.
         return;
       }
-      process_old(ti);
+      process_base(ti);
       return;
     }
     const Table& t = tables[ti];
@@ -326,8 +276,6 @@ DeltaExtractionResult ExtractCandidatesDelta(
   for (size_t i = 0; i < first_new_table; ++i) {
     if (flipped[i]) result.flipped_tables.push_back(static_cast<TableId>(i));
   }
-  result.unstable_tables = result.flipped_tables.size();
-  result.stable = result.flipped_tables.empty();
   result.margin_skips = skips.load();
   result.margin_rechecks = rechecks.load();
   result.stats.normalize_cache_hits = norm.hits();
@@ -341,9 +289,9 @@ DeltaExtractionResult ExtractCandidatesDelta(
   }
   for (size_t i = 0; i < tables.size(); ++i) {
     for (auto& cand : per_table[i]) {
-      cand.id = static_cast<BinaryTableId>(request.first_new_id +
-                                           result.new_candidates.size());
-      result.new_candidates.push_back(std::move(cand));
+      cand.id = static_cast<BinaryTableId>(base.first_new_id +
+                                           result.candidates.size());
+      result.candidates.push_back(std::move(cand));
     }
   }
   BuildCsr(per_kept, &result.kept_offsets, &result.kept_columns);

@@ -4,6 +4,10 @@
 //   (b) column pairs whose local relationship is not a θ-approximate FD.
 // Cell values are normalized (text/normalize.h) before candidates are built,
 // so all downstream matching operates on normalized values.
+//
+// One entry point serves cold runs and incremental mutations: a pass
+// extends a base artifact generation (ExtractionBase), and a cold run is
+// the pass over the empty base.
 #pragma once
 
 #include <vector>
@@ -64,54 +68,23 @@ struct ExtractionStats {
   }
 };
 
-struct ExtractionResult {
-  std::vector<BinaryTable> candidates;  ///< ids assigned densely from 0
-  ExtractionStats stats;
-  /// Per-table kept-column signatures, CSR over corpus table index:
-  /// kept_columns[kept_offsets[t] .. kept_offsets[t+1]) are the column
-  /// indices of table t that passed the PMI coherence filter (empty for
-  /// width-skipped tables). Column coherence is a corpus-global statistic
-  /// (it reads |C(u)| and N from the inverted index), so growing the corpus
-  /// can in principle flip a verdict; incremental appends re-check these
-  /// signatures under the grown index — everything *downstream* of the kept
-  /// set (normalization, the FD filter, candidate assembly) depends only on
-  /// the table's own cells and is append-invariant.
-  std::vector<uint32_t> kept_offsets;  ///< size tables + 1
-  std::vector<uint32_t> kept_columns;
-  /// Margin cache: one CoherenceProfile per column of every width-passed
-  /// table (CSR over corpus table index, same shape discipline as kept_*;
-  /// empty slices for width-skipped tables). Incremental maintenance uses
-  /// these to prove a column's verdict cannot flip under the mutated index
-  /// without re-touching the posting lists (CoherenceVerdictStable). Both
-  /// vectors stay empty when the coherence filter is disabled
-  /// (coherence_threshold <= -1), where verdicts are index-independent.
-  std::vector<uint32_t> margin_offsets;  ///< size tables + 1, or empty
-  std::vector<CoherenceProfile> margins;
-};
-
-/// Runs Algorithm 1 over the whole corpus. `index` must have been built on
-/// `corpus`. Normalized values are interned into the corpus pool. Thread
-/// pool optional (per-table parallelism).
-ExtractionResult ExtractCandidates(const TableCorpus& corpus,
-                                   const ColumnInvertedIndex& index,
-                                   const ExtractionOptions& options = {},
-                                   ThreadPool* pool = nullptr);
-
-/// Inputs for one incremental extraction pass over a mutated corpus
-/// (appended and/or tombstoned tables). The base signatures come from the
-/// previous artifact generation; the margin cache is optional (snapshots
-/// from before format v3 restore without one — every column then pays an
-/// exact re-check once and the cache repopulates).
-struct DeltaExtractionRequest {
-  /// Tables [first_new_table, corpus.size()) are the appended delta.
+/// The artifact generation an extraction pass extends: the previous run's
+/// per-table signatures plus what the mutation removed. The default is the
+/// empty family (no tables, no signatures), and extracting over it is a
+/// cold run. The margin cache is optional (snapshots from before format v3
+/// restore without one — every column then pays an exact re-check once and
+/// the cache repopulates).
+struct ExtractionBase {
+  /// Tables [0, first_new_table) are the base's; [first_new_table,
+  /// corpus.size()) are appended by this pass.
   size_t first_new_table = 0;
-  /// New candidates (appended tables' and flipped tables' re-extractions)
-  /// get ids assigned densely from here, in corpus-table order.
+  /// New candidates get ids assigned densely from here, in corpus-table
+  /// order.
   BinaryTableId first_new_id = 0;
-  const std::vector<uint32_t>* base_kept_offsets = nullptr;
-  const std::vector<uint32_t>* base_kept_columns = nullptr;
-  const std::vector<uint32_t>* base_margin_offsets = nullptr;  ///< optional
-  const std::vector<CoherenceProfile>* base_margins = nullptr; ///< optional
+  const std::vector<uint32_t>* kept_offsets = nullptr;
+  const std::vector<uint32_t>* kept_columns = nullptr;
+  const std::vector<uint32_t>* margin_offsets = nullptr;   ///< optional
+  const std::vector<CoherenceProfile>* margins = nullptr;  ///< optional
   /// Tables tombstoned by this mutation (sorted ids, already cleared in the
   /// corpus). Their signatures are reset to empty without counting as
   /// flips — the caller tombstones their candidates wholesale.
@@ -124,58 +97,63 @@ struct DeltaExtractionRequest {
   std::vector<ValueId> removed_values;
 };
 
-/// Output of one incremental extraction pass (SynthesisSession::
-/// AppendTables / RemoveTables / ReplaceTables): candidates for the
-/// appended tables — plus re-extractions for any old table whose
-/// kept-column signature flipped under the mutated index — and the union
-/// signatures for the merged artifact.
-struct DeltaExtractionResult {
-  /// Candidates of appended tables and of flipped old tables, ids assigned
-  /// densely from `first_new_id` in corpus-table order (flipped tables
-  /// sort before appended ones). When `stable` holds these are exactly the
-  /// ids a cold run over the grown corpus would assign the appended
-  /// tables' candidates.
-  std::vector<BinaryTable> new_candidates;
+struct ExtractionResult {
+  /// Candidates of appended tables and of flipped base tables, ids assigned
+  /// densely from `first_new_id` in corpus-table order (flipped tables sort
+  /// before appended ones). Over the empty base these are every candidate
+  /// of the corpus, ids from 0.
+  std::vector<BinaryTable> candidates;
   /// Counters for the appended tables only (add to the base run's to get
   /// the union totals; flipped re-extractions are deliberately excluded so
   /// the stable path stays byte-identical to a cold rebuild's counters).
   /// Normalize-cache counters cover this pass alone.
   ExtractionStats stats;
-  /// True iff no live old table's kept-column set changed under the
-  /// mutated index. When false, `flipped_tables` lists the tables whose
-  /// base candidates the caller must tombstone in favor of the
-  /// re-extractions included in `new_candidates`.
-  bool stable = false;
-  /// How many old tables' kept sets flipped (observability: a fleet whose
-  /// appends keep re-extracting wants to know whether one borderline
-  /// column or a corpus-wide drift is responsible).
-  size_t unstable_tables = 0;
-  std::vector<TableId> flipped_tables;  ///< sorted
-  /// Margin-cache effectiveness: columns whose verdict the cached bound
-  /// settled without touching the index vs columns that paid the exact
-  /// sampled re-check.
+  /// Base tables whose kept-column set changed under the mutated index
+  /// (sorted). The caller tombstones their base candidates in favor of the
+  /// re-extractions included in `candidates`. Always empty for a cold run.
+  std::vector<TableId> flipped_tables;
+  bool stable() const { return flipped_tables.empty(); }
+  /// Margin-cache effectiveness: base columns whose verdict the cached
+  /// bound settled without touching the index vs columns that paid the
+  /// exact sampled re-check.
   size_t margin_skips = 0;
   size_t margin_rechecks = 0;
-  /// Union signatures (old tables re-checked + appended tables), ready to
-  /// carry on the merged candidate artifact.
-  std::vector<uint32_t> kept_offsets;
+  /// Per-table kept-column signatures, CSR over corpus table index (base
+  /// tables re-checked + appended tables): kept_columns[kept_offsets[t] ..
+  /// kept_offsets[t+1]) are the column indices of table t that passed the
+  /// PMI coherence filter (empty for width-skipped tables). Column
+  /// coherence is a corpus-global statistic (it reads |C(u)| and N from the
+  /// inverted index), so mutating the corpus can flip a verdict; the next
+  /// pass re-checks these signatures under the mutated index — everything
+  /// *downstream* of the kept set (normalization, the FD filter, candidate
+  /// assembly) depends only on the table's own cells.
+  std::vector<uint32_t> kept_offsets;  ///< size tables + 1
   std::vector<uint32_t> kept_columns;
-  std::vector<uint32_t> margin_offsets;
+  /// Margin cache: one CoherenceProfile per column of every width-passed
+  /// table (CSR over corpus table index, same shape discipline as kept_*;
+  /// empty slices for width-skipped tables). The next pass uses these to
+  /// prove a column's verdict cannot flip under the mutated index without
+  /// re-touching the posting lists (CoherenceVerdictStable). Both vectors
+  /// stay empty when the coherence filter is disabled (coherence_threshold
+  /// <= -1), where verdicts are index-independent.
+  std::vector<uint32_t> margin_offsets;  ///< size tables + 1, or empty
   std::vector<CoherenceProfile> margins;
 };
 
-/// Incremental Algorithm 1: `index` must reflect the *mutated* corpus
-/// (appended tables indexed, removed tables' columns dropped). Re-checks
-/// coherence signatures of live tables [0, first_new_table) against the
-/// base run's CSR — through the margin cache when the bound applies, via
-/// exact sampled re-scoring when it does not — fully extracts tables
-/// [first_new_table, corpus.size()), and re-extracts any old table whose
-/// kept set flipped. The re-check tax is what the margin cache amortizes:
-/// an untouched column with a comfortable margin never re-reads the index.
-DeltaExtractionResult ExtractCandidatesDelta(
-    const TableCorpus& corpus, const ColumnInvertedIndex& index,
-    const DeltaExtractionRequest& request,
-    const ExtractionOptions& options = {}, ThreadPool* pool = nullptr);
+/// Algorithm 1 as a delta over `base`: `index` must reflect the current
+/// (possibly mutated) corpus. Re-checks the coherence signatures of live
+/// base tables [0, first_new_table) against the base CSR — through the
+/// margin cache when the bound applies, via exact sampled re-scoring when
+/// it does not — fully extracts tables [first_new_table, corpus.size()),
+/// and re-extracts any base table whose kept set flipped. Over the empty
+/// base (the default) there is nothing to re-check and every table is
+/// extracted: the cold run. Normalized values are interned into the corpus
+/// pool. Thread pool optional (per-table parallelism).
+ExtractionResult ExtractCandidates(const TableCorpus& corpus,
+                                   const ColumnInvertedIndex& index,
+                                   const ExtractionOptions& options = {},
+                                   ThreadPool* pool = nullptr,
+                                   const ExtractionBase& base = {});
 
 /// Exposed for tests: true when the column passes the coherence filter.
 /// Fills `profile` (when given and the filter is enabled) with the margin

@@ -216,18 +216,26 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name,
 }
 
 std::string MetricsRegistry::ExpositionText() const {
+  // Series are never erased and map nodes never move, so the entries can be
+  // rendered after the lock is released: holding it across the render
+  // would starve every GetCounter/GetGauge/GetHistogram behind a scraper.
+  std::vector<const Entry*> entries;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    entries.reserve(series_.size());
+    for (const auto& [key, e] : series_) entries.push_back(&e);
+  }
   ExpositionBuilder b;
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [key, e] : series_) {
-    switch (e.kind) {
+  for (const Entry* e : entries) {
+    switch (e->kind) {
       case Kind::kCounter:
-        b.Value(e.name, e.labels, e.counter->Value());
+        b.Value(e->name, e->labels, e->counter->Value());
         break;
       case Kind::kGauge:
-        b.Value(e.name, e.labels, e.gauge->Value());
+        b.Value(e->name, e->labels, e->gauge->Value());
         break;
       case Kind::kHistogram:
-        b.Histo(e.name, e.labels, e.histogram->Snapshot());
+        b.Histo(e->name, e->labels, e->histogram->Snapshot());
         break;
     }
   }

@@ -177,6 +177,8 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;
   /// Keyed by SeriesKey → sorted iteration gives the stable exposition.
+  /// Entries are never erased and never change after insertion, so a
+  /// pointer taken under mu_ stays readable after it is released.
   std::map<std::string, Entry> series_;
   /// Kind-mismatch orphans: valid storage, never exported.
   std::vector<std::unique_ptr<Entry>> orphans_;

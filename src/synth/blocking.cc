@@ -52,7 +52,6 @@ struct PostingLists {
 /// Key accounting of one counting pass. With first_new = 0 (a cold run)
 /// every key is "new" and every drop is a union-run drop.
 struct PassAccount {
-  size_t keys = 0;      ///< keys walked
   size_t new_keys = 0;  ///< keys no id < first_new holds
   /// Postings dropped by truncation beyond what the ids < first_new alone
   /// would drop (all drops when first_new = 0).
@@ -84,7 +83,6 @@ void CompactPartition(Partition& part, size_t max_posting, uint32_t first_new,
     }
     const uint32_t* ids = out->ids.data() + list_begin;
     const size_t n = out->ids.size() - list_begin;
-    ++acct->keys;
     // Ids are sorted, so the list the ids < first_new alone would form is
     // the prefix before first_new.
     const size_t old_len = NewFrom(ids, n, first_new);
@@ -116,11 +114,10 @@ void CompactPartition(Partition& part, size_t max_posting, uint32_t first_new,
 /// distinct id pairs, for one more linear scan of the lists per shard.
 constexpr size_t kShardsPerWorker = 4;
 
-/// The counting kernel shared by cold and delta blocking. Task s of
-/// `num_shards` owns the id pairs (a, b) with a % num_shards == s: it walks
-/// every partition's lists and increments only its own pairs, so the shard
-/// maps are disjoint, there is one counter per id pair as in a serial run,
-/// and no merge step follows. Only pairs with b >= first_new are counted
+/// The counting kernel. Task s of `num_shards` owns the id pairs (a, b)
+/// with a % num_shards == s: it walks every partition's lists and
+/// increments only its own pairs, so the shard maps are disjoint, there is
+/// one counter per id pair as in a serial run, and no merge step follows. Only pairs with b >= first_new are counted
 /// (all of them when first_new = 0). Each shard's survivors (θ_overlap)
 /// are emitted straight from its map into an exactly sized vector, then the
 /// map is freed.
@@ -182,12 +179,12 @@ std::vector<std::vector<CandidateTablePair>> CountShards(
   return survivors;
 }
 
-/// Everything after the map + shuffle, shared by cold and delta blocking:
-/// compacts each partition's posting lists (parallel over partitions), folds
-/// the truncated tails into `tainted` (in/out: empty until the first
-/// truncation), and counts and thresholds the pairs touching an id >=
-/// first_new, returning each shard's survivors. `acct` sums the partitions'
-/// key accounting; `*newly_tainted` counts the bitmap entries this pass set.
+/// Everything after the map + shuffle: compacts each partition's posting
+/// lists (parallel over partitions), folds the truncated tails into
+/// `tainted` (in/out: empty until the first truncation), and counts and
+/// thresholds the pairs touching an id >= first_new, returning each shard's
+/// survivors. `acct` sums the partitions' key accounting; `*newly_tainted`
+/// counts the bitmap entries this pass set.
 std::vector<std::vector<CandidateTablePair>> CountPairs(
     std::vector<Partition>& parts, size_t num_candidates, uint32_t first_new,
     const BlockingOptions& options, ThreadPool* pool,
@@ -208,7 +205,6 @@ std::vector<std::vector<CandidateTablePair>> CountPairs(
   // truncated list (a pair only loses count from a list both appear in when
   // one of them sits in the dropped tail).
   for (const PassAccount& a : part_acct) {
-    acct->keys += a.keys;
     acct->new_keys += a.new_keys;
     acct->dropped += a.dropped;
     for (uint32_t id : a.tainted) {
@@ -235,48 +231,6 @@ void EmitBlockingKeys(const BinaryTable& b, uint32_t id,
   }
 }
 
-std::vector<CandidateTablePair> GenerateCandidatePairs(
-    const std::vector<BinaryTable>& candidates, const BlockingOptions& options,
-    ThreadPool* pool, BlockingStats* stats) {
-  if (candidates.empty()) return {};
-  Timer timer;
-
-  // --- Map + shuffle: hash-partition (blocking key -> candidate id), so
-  // every posting list lives wholly inside one partition.
-  std::vector<uint32_t> inputs(candidates.size());
-  for (uint32_t i = 0; i < candidates.size(); ++i) inputs[i] = i;
-  std::function<void(const uint32_t&, Emitter<uint64_t, uint32_t>&)> map_fn =
-      [&](const uint32_t& id, Emitter<uint64_t, uint32_t>& em) {
-        EmitBlockingKeys(candidates[id], id, em);
-      };
-  auto parts = RunMapShuffle<uint32_t, uint64_t, uint32_t>(inputs, map_fn, pool);
-  const double map_shuffle_seconds = timer.ElapsedSeconds();
-
-  // --- Count: compact posting lists, stream co-occurring id pairs into
-  // shard-owned flat count maps, threshold. Nothing quadratic is stored.
-  std::vector<uint8_t> tainted;
-  PassAccount acct;
-  size_t num_tainted = 0;
-  timer.Restart();
-  const auto survivors =
-      CountPairs(parts, candidates.size(), /*first_new=*/0, options, pool,
-                 &tainted, &acct, &num_tainted);
-  const double count_seconds = timer.ElapsedSeconds();
-  timer.Restart();
-  auto out = CollectAndSort(survivors);
-  if (stats) {
-    stats->map_shuffle_seconds = map_shuffle_seconds;
-    stats->count_seconds = count_seconds;
-    stats->reduce_seconds = timer.ElapsedSeconds();
-    stats->keys += acct.keys;
-    stats->dropped_postings += acct.dropped;
-    stats->tainted_candidates = num_tainted;
-    stats->exact_counts = stats->dropped_postings == 0;
-    stats->tainted = std::move(tainted);
-  }
-  return out;
-}
-
 Status BlockingOptions::Validate() const {
   if (theta_overlap == 0) {
     return Status::InvalidArgument(
@@ -291,21 +245,23 @@ Status BlockingOptions::Validate() const {
   return Status::OK();
 }
 
-std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
+std::vector<CandidateTablePair> GenerateCandidatePairs(
     const std::vector<BinaryTable>& candidates, uint32_t first_new,
-    const BlockingOptions& options, ThreadPool* pool,
-    std::vector<uint8_t>* tainted, DeltaBlockingStats* stats) {
+    const BlockingOptions& options, ThreadPool* pool, BlockingStats* stats) {
+  BlockingStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  if (first_new == 0) *stats = BlockingStats{};
   if (first_new >= candidates.size()) return {};
-  std::vector<uint8_t> local_tainted;
-  if (tainted == nullptr) tainted = &local_tainted;
-  if (!tainted->empty()) tainted->resize(candidates.size(), 0);
+  if (!stats->tainted.empty()) stats->tainted.resize(candidates.size(), 0);
+  Timer timer;
 
-  // --- Delta key set: every blocking key any appended candidate holds.
-  // FlatMap64 reserves key 0 as its empty sentinel, so keys are stored
-  // shifted by one (the pipeline already tolerates 64-bit key-hash
-  // collisions, which an unrepresentable key 2^64-1 would amount to).
+  // --- Delta key set (appends only): every blocking key a candidate >=
+  // first_new holds. FlatMap64 reserves key 0 as its empty sentinel, so
+  // keys are stored shifted by one (the pipeline already tolerates 64-bit
+  // key-hash collisions, which an unrepresentable key 2^64-1 would amount
+  // to).
   FlatMap64<char> delta_keys;
-  {
+  if (first_new > 0) {
     Emitter<uint64_t, uint32_t> collector(1);
     for (uint32_t id = first_new; id < candidates.size(); ++id) {
       EmitBlockingKeys(candidates[id], id, collector);
@@ -315,14 +271,19 @@ std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
     }
   }
 
-  // --- Map + shuffle over ALL candidates, filtered to delta-relevant keys:
-  // existing candidates contribute their postings for exactly the keys the
-  // appended candidates touch, nothing else. This is the only full-corpus
-  // scan the delta pass pays, and it is linear.
+  // --- Map + shuffle: hash-partition (blocking key -> candidate id), so
+  // every posting list lives wholly inside one partition. An append pass
+  // keeps only the delta-relevant keys: older candidates contribute their
+  // postings for exactly the keys the new ones touch, nothing else — the
+  // only full scan the pass pays, and it is linear.
   std::vector<uint32_t> inputs(candidates.size());
   for (uint32_t i = 0; i < candidates.size(); ++i) inputs[i] = i;
   std::function<void(const uint32_t&, Emitter<uint64_t, uint32_t>&)> map_fn =
       [&](const uint32_t& id, Emitter<uint64_t, uint32_t>& em) {
+        if (first_new == 0) {
+          EmitBlockingKeys(candidates[id], id, em);
+          return;
+        }
         Emitter<uint64_t, uint32_t> probe(1);
         EmitBlockingKeys(candidates[id], id, probe);
         for (const auto& [key, emitted_id] : probe.buffers()[0]) {
@@ -330,23 +291,29 @@ std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
         }
       };
   auto parts = RunMapShuffle<uint32_t, uint64_t, uint32_t>(inputs, map_fn, pool);
+  stats->map_shuffle_seconds = timer.ElapsedSeconds();
 
-  // --- Count, restricted to pairs with at least one appended id, through
-  // the same kernel as a cold run. Truncation follows union semantics
+  // --- Count: compact posting lists, stream co-occurring id pairs with at
+  // least one id >= first_new into shard-owned flat count maps, threshold.
+  // Nothing quadratic is stored. Truncation follows union semantics
   // exactly: appended ids sort after all existing ids, so the kept prefix
   // of every list starts with the base run's kept old ids — old-old counts
-  // and old-candidate taint can never change, which is why they are not
-  // recomputed here.
+  // and old-candidate taint can never change, which is why an append pass
+  // does not recompute them.
   PassAccount acct;
   size_t newly_tainted = 0;
-  auto out = CollectAndSort(CountPairs(parts, candidates.size(), first_new,
-                                       options, pool, tainted, &acct,
-                                       &newly_tainted));
-  if (stats) {
-    stats->new_keys += acct.new_keys;
-    stats->scanned_keys += acct.keys;
-    stats->dropped_postings += acct.dropped;
-  }
+  timer.Restart();
+  const auto survivors =
+      CountPairs(parts, candidates.size(), first_new, options, pool,
+                 &stats->tainted, &acct, &newly_tainted);
+  stats->count_seconds = timer.ElapsedSeconds();
+  timer.Restart();
+  auto out = CollectAndSort(survivors);
+  stats->reduce_seconds = timer.ElapsedSeconds();
+  stats->keys += acct.new_keys;
+  stats->dropped_postings += acct.dropped;
+  stats->tainted_candidates += newly_tainted;
+  stats->exact_counts = stats->dropped_postings == 0;
   return out;
 }
 

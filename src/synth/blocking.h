@@ -9,10 +9,14 @@
 // per shard of the id-pair space walks every list, streaming the
 // co-occurring id pairs it owns into its own flat count map and emitting
 // the survivors. The quadratic id-pair stream is never materialized, each
-// id pair has exactly one counter, and no merge step follows. Cold and
-// delta (append) blocking share this counting kernel. The seed
-// emit-everything-then-count implementation is the equivalence oracle
-// (tests/oracles/blocking_oracle.h); it shares EmitBlockingKeys below.
+// id pair has exactly one counter, and no merge step follows.
+//
+// One entry point serves cold runs and appends: GenerateCandidatePairs
+// counts the pairs that touch a candidate id >= first_new, so a cold run
+// is the pass with first_new = 0 and an append is the pass whose first_new
+// is the base run's candidate count. The seed emit-everything-then-count
+// implementation is the equivalence oracle (tests/oracles/blocking_oracle.h);
+// it shares EmitBlockingKeys below.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +62,9 @@ struct CandidateTablePair {
   bool counts_exact = false;
 };
 
-/// Observability for the blocking stage (feeds PipelineStats).
+/// Observability for the blocking stage (feeds PipelineStats). After an
+/// append pass these are the union run's figures: the base run's plus what
+/// the pass added.
 struct BlockingStats {
   double map_shuffle_seconds = 0.0;  ///< map + hash-partition phase
   /// sort-group + shard-owned counting + threshold
@@ -82,18 +88,34 @@ struct BlockingStats {
   bool exact_counts = false;
   /// Per-candidate taint bitmap (empty when no posting list was truncated):
   /// tainted[id] == 1 iff candidate `id` was dropped from at least one
-  /// truncated posting list. This is the state incremental blocking needs:
+  /// truncated posting list. This is the state an append pass needs:
   /// appended candidates sort after every existing id, so truncation keeps
   /// the same old-id prefix and an old candidate's taint can never change —
-  /// the union run's bitmap is this one plus whatever the delta pass taints.
+  /// the union run's bitmap is the base's plus whatever the pass taints.
   /// Persisted with the BlockedPairs artifact so restore-then-append works.
   std::vector<uint8_t> tainted;
 };
 
-/// Runs blocking over all candidates. Returned pairs satisfy
-/// shared_pairs >= θ_overlap or shared_lefts >= θ_overlap, sorted by (a, b).
+/// Blocking as a delta: returns exactly the pairs of a full run over
+/// `candidates` that involve at least one id >= `first_new`, sorted by
+/// (a, b), each satisfying shared_pairs >= θ_overlap or shared_lefts >=
+/// θ_overlap. With first_new = 0 that is every pair: the cold run. Pairs
+/// between two ids < first_new are untouched by appends (appended ids sort
+/// after all existing ids, so truncation keeps the identical old-id prefix
+/// of every posting list), which is what makes merging this output into a
+/// base run's pairs byte-equivalent to re-blocking from scratch.
+///
+/// With first_new > 0 only keys held by a candidate >= first_new are
+/// counted: the older candidates are scanned once (linear) to contribute
+/// their postings for those keys, and the quadratic counting runs over the
+/// delta-relevant keys alone.
+///
+/// `stats` is in/out. With first_new > 0 pass the base run's stats: the
+/// pass adds its new keys, extra dropped postings and taint to them, and
+/// the returned pairs' counts_exact is computed against the union taint
+/// bitmap. With first_new = 0 the incoming contents are ignored.
 std::vector<CandidateTablePair> GenerateCandidatePairs(
-    const std::vector<BinaryTable>& candidates,
+    const std::vector<BinaryTable>& candidates, uint32_t first_new = 0,
     const BlockingOptions& options = {}, ThreadPool* pool = nullptr,
     BlockingStats* stats = nullptr);
 
@@ -103,39 +125,5 @@ std::vector<CandidateTablePair> GenerateCandidatePairs(
 /// this one function.
 void EmitBlockingKeys(const BinaryTable& b, uint32_t id,
                       Emitter<uint64_t, uint32_t>& em);
-
-/// Accounting for one delta-blocking pass (feeds the merged BlockingStats).
-struct DeltaBlockingStats {
-  /// Blocking keys introduced by the appended candidates (present in no
-  /// existing candidate); the union run's key count is base + this.
-  size_t new_keys = 0;
-  /// Additional postings dropped by max_posting truncation versus the base
-  /// run; the union run's dropped_postings is base + this.
-  size_t dropped_postings = 0;
-  /// Delta-relevant keys processed (keys any appended candidate holds).
-  size_t scanned_keys = 0;
-};
-
-/// Incremental blocking for appended candidates: returns exactly the pairs
-/// of a full GenerateCandidatePairs run over `candidates` that involve at
-/// least one id >= `first_new` — the only pairs the append created. Pairs
-/// between two existing candidates are untouched by appends (appended ids
-/// sort after all existing ids, so truncation keeps the identical old-id
-/// prefix of every posting list), which is what makes merging this output
-/// into a base run's pairs byte-equivalent to re-blocking from scratch.
-///
-/// Only keys held by an appended candidate are counted: existing candidates
-/// are scanned once (linear) to contribute their postings for those keys,
-/// and the quadratic counting runs over the delta-relevant keys alone.
-///
-/// `tainted` is the union-run taint bitmap, in/out: pass the base run's
-/// bitmap (resized to candidates.size(); empty stays empty until a
-/// truncation happens) and the delta pass adds the ids it drops. Returned
-/// pairs' counts_exact is computed against the updated bitmap.
-std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
-    const std::vector<BinaryTable>& candidates, uint32_t first_new,
-    const BlockingOptions& options = {}, ThreadPool* pool = nullptr,
-    std::vector<uint8_t>* tainted = nullptr,
-    DeltaBlockingStats* stats = nullptr);
 
 }  // namespace ms

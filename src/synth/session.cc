@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
-#include <iterator>
 #include <mutex>
 #include <unordered_map>
 
@@ -177,8 +176,6 @@ CompatibilityGraph ScorePairsCore(
 /// Builds the component-local subgraph of `members` and runs Algorithm 3 on
 /// it. `local_of` maps global vertex -> component-local index; cross-
 /// component edges (positive weight below θ_edge) are filtered via `comp`.
-/// Shared by Partition() and the append path's dirty-component re-run so
-/// both produce identical partitions for identical components.
 PartitionResult PartitionComponentSubgraph(
     const CompatibilityGraph& graph, const std::vector<uint32_t>& comp,
     const std::vector<uint32_t>& local_of,
@@ -207,8 +204,7 @@ PartitionResult PartitionComponentSubgraph(
 }
 
 /// Conflict resolution + mapping assembly for a set of partition groups
-/// (pre-curation). Shared by Resolve() (all groups) and the append path
-/// (dirty groups only); both must build mappings identically.
+/// (pre-curation).
 std::vector<SynthesizedMapping> ResolveGroups(
     const std::vector<BinaryTable>& cands,
     const std::vector<std::vector<VertexId>>& groups,
@@ -275,6 +271,318 @@ void FillBlockingStats(const BlockingStats& bstats, size_t num_pairs,
   stats->blocking_tainted_candidates = bstats.tainted_candidates;
 }
 
+// ------------------------------------------------------- stage deltas
+//
+// Every stage applies a delta to a base artifact: candidates [0, first_new)
+// are the base's, candidates >= first_new are new, and `retired` flags
+// base candidates this mutation tombstoned (empty when none). The cold
+// stage methods apply the delta that adds every candidate (first_new = 0)
+// to the empty family, so cold runs and mutations share one implementation
+// per stage.
+
+/// The empty artifact family: the base a cold stage applies its delta to.
+const AppendedArtifacts& EmptyFamily() {
+  static const AppendedArtifacts* const kEmpty = new AppendedArtifacts();
+  return *kEmpty;
+}
+
+/// Extract stage: the base candidates with every retired one cleared in
+/// place — it keeps its id and provenance but loses its pairs, so
+/// downstream it has the footprint of a candidate that was never extracted
+/// — followed by the pass's candidates (appended tables' and flipped
+/// tables' re-extractions) at the next dense ids in table order. Over the
+/// empty family the pass's candidates are moved in whole.
+void ApplyExtraction(const CandidateSet& base, ExtractionResult extracted,
+                     const std::vector<uint8_t>& retired,
+                     const std::vector<uint32_t>& removed_tables,
+                     const TableCorpus& corpus, double index_s,
+                     double extract_s, CandidateSet* out) {
+  const std::vector<BinaryTable>& base_tables = base.tables();
+  if (base_tables.empty()) {
+    out->owned = std::move(extracted.candidates);
+  } else {
+    out->owned = base_tables;
+    out->owned.reserve(base_tables.size() + extracted.candidates.size());
+    for (auto& c : extracted.candidates) out->owned.push_back(std::move(c));
+  }
+  for (size_t i = 0; i < retired.size(); ++i) {
+    if (!retired[i]) continue;
+    BinaryTable& t = out->owned[i];
+    BinaryTable cleared = BinaryTable::FromPairs({});
+    cleared.id = t.id;
+    cleared.source_table = t.source_table;
+    cleared.domain = std::move(t.domain);
+    cleared.source = t.source;
+    cleared.left_name = std::move(t.left_name);
+    cleared.right_name = std::move(t.right_name);
+    t = std::move(cleared);
+  }
+  out->dead = base.dead;
+  if (!retired.empty() || !out->dead.empty()) {
+    out->dead.resize(out->owned.size(), 0);
+    for (size_t i = 0; i < retired.size(); ++i) {
+      if (retired[i]) out->dead[i] = 1;
+    }
+  }
+  out->tombstoned_tables = base.tombstoned_tables;
+  if (!removed_tables.empty()) {
+    out->tombstoned_tables.insert(out->tombstoned_tables.end(),
+                                  removed_tables.begin(),
+                                  removed_tables.end());
+    std::sort(out->tombstoned_tables.begin(), out->tombstoned_tables.end());
+  }
+  out->pool = &corpus.pool();
+  out->source_tables = corpus.size();
+  out->kept_offsets = std::move(extracted.kept_offsets);
+  out->kept_columns = std::move(extracted.kept_columns);
+  out->margin_offsets = std::move(extracted.margin_offsets);
+  out->margins = std::move(extracted.margins);
+  out->stats = base.stats;
+  out->stats.index_seconds += index_s;
+  out->stats.extract_seconds += extract_s;
+  AddExtractionStats(&out->stats.extraction, extracted.stats);
+  out->stats.candidates = out->num_live();
+}
+
+/// Merges two lists sorted by `less`, dropping the base items `retired`
+/// rejects: (base minus retired) plus fresh. The keys of the two lists are
+/// disjoint.
+template <typename T, typename Retired, typename Less>
+std::vector<T> Splice(const std::vector<T>& base, const Retired& retired,
+                      const std::vector<T>& fresh, const Less& less) {
+  std::vector<T> out;
+  out.reserve(base.size() + fresh.size());
+  auto b = base.begin();
+  for (const T& f : fresh) {
+    for (; b != base.end() && less(*b, f); ++b) {
+      if (!retired(*b)) out.push_back(*b);
+    }
+    out.push_back(f);
+  }
+  for (; b != base.end(); ++b) {
+    if (!retired(*b)) out.push_back(*b);
+  }
+  return out;
+}
+
+bool PairLess(const CandidateTablePair& x, const CandidateTablePair& y) {
+  return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+}
+
+bool EdgeLess(const CompatEdge& x, const CompatEdge& y) {
+  return std::tie(x.u, x.v) < std::tie(y.u, y.v);
+}
+
+/// Block stage: the base pairs minus every pair touching a retired
+/// candidate, merged with the pairs the candidates >= first_new create.
+/// Old pairs' counts and old-candidate taint are append-invariant (appended
+/// ids sort last, so truncation keeps the identical old-id prefix of every
+/// posting list), and the retired filter is exact as long as the base run
+/// never truncated a posting list. When it did, deleting ids can pull
+/// previously dropped postings back under the cap and resurrect pairs
+/// between old candidates, so the pass re-blocks from scratch. `fresh`
+/// (nullable) receives the pairs the base never held — the only ones that
+/// need scoring; a caller that passes null scores `out->pairs` whole.
+void ApplyBlocking(const CandidateSet& cands, uint32_t first_new,
+                   const std::vector<uint8_t>& retired,
+                   const BlockedPairs& base, const BlockingOptions& options,
+                   ThreadPool* threads, BlockedPairs* out,
+                   std::vector<CandidateTablePair>* fresh) {
+  Timer timer;
+  const std::vector<BinaryTable>& tables = cands.tables();
+  if (!retired.empty() && base.blocking.dropped_postings != 0) {
+    out->pairs =
+        GenerateCandidatePairs(tables, 0, options, threads, &out->blocking);
+    for (const auto& p : out->pairs) {
+      if (fresh != nullptr &&
+          !std::binary_search(base.pairs.begin(), base.pairs.end(), p,
+                              PairLess)) {
+        fresh->push_back(p);
+      }
+    }
+  } else {
+    out->blocking = base.blocking;
+    std::vector<CandidateTablePair> added = GenerateCandidatePairs(
+        tables, first_new, options, threads, &out->blocking);
+    if (base.pairs.empty() && fresh == nullptr) {
+      out->pairs = std::move(added);
+    } else {
+      out->pairs = Splice(
+          base.pairs,
+          [&](const CandidateTablePair& p) {
+            return !retired.empty() && (retired[p.a] || retired[p.b]);
+          },
+          added, PairLess);
+      if (fresh != nullptr) *fresh = std::move(added);
+    }
+  }
+  out->stats = cands.stats;
+  FillBlockingStats(out->blocking, out->pairs.size(),
+                    base.stats.blocking_seconds + timer.ElapsedSeconds(),
+                    &out->stats);
+}
+
+/// Partition stage: a positive component is re-partitioned iff it holds a
+/// vertex >= first_new or one `changed` flags (a retired candidate, or an
+/// endpoint of an edge the score splice dropped or added). Every other
+/// component's induced subgraph — and therefore its greedy partition — is
+/// identical to the base run's, so its partition is carried, renumbered
+/// densely. (If removal split a base component, every piece holds a former
+/// neighbor of a retired vertex, so all pieces are re-partitioned.) Without
+/// divide-and-conquer the greedy runs over the whole graph and nothing is
+/// carried. `order` is null when live candidate ids are in source-table
+/// order; otherwise it is the candidate list, and each dirty component gets
+/// its members in the relative order a cold run's dense ids would impose
+/// (source table, then id) — the greedy tie-breaks on vertex ids. Fills
+/// `out`'s partition and stats; returns the per-vertex carried flags
+/// (empty when nothing was carried).
+std::vector<uint8_t> ApplyPartition(const ScoredGraph& sg, uint32_t first_new,
+                                    const std::vector<uint8_t>& changed,
+                                    const Partitions& base,
+                                    const std::vector<BinaryTable>* order,
+                                    const SynthesisOptions& options,
+                                    ThreadPool* threads, Partitions* out,
+                                    size_t* dirty_components) {
+  Timer timer;
+  const CompatibilityGraph& graph = sg.graph;
+  out->stats = sg.stats;
+  std::vector<uint8_t> carried;
+  PartitionResult& partition = out->partition;
+  size_t num_dirty = 0;
+  if (options.divide_and_conquer) {
+    const auto comp =
+        ConnectedComponentsBfs(graph, options.partitioner.theta_edge);
+    auto groups = GroupByComponent(comp);
+    out->stats.components = groups.size();
+    const auto dirty = [&](VertexId v) {
+      return v >= first_new || (v < changed.size() && changed[v] != 0);
+    };
+
+    // Clean components carry the base partitioning, renumbered densely.
+    // Dirty ones get one global vertex -> component-local-index table,
+    // filled in a single O(V) pass (component member lists are disjoint).
+    partition.partition_of.assign(graph.num_vertices(), 0);
+    std::vector<uint32_t> local_of(graph.num_vertices(), 0);
+    std::vector<size_t> dirty_idx;
+    std::unordered_map<uint32_t, uint32_t> remap;
+    uint32_t next_pid = 0;
+    for (size_t g = 0; g < groups.size(); ++g) {
+      auto& members = groups[g];
+      if (std::none_of(members.begin(), members.end(), dirty)) {
+        if (carried.empty()) carried.assign(graph.num_vertices(), 0);
+        for (VertexId v : members) {
+          carried[v] = 1;
+          const auto [it, inserted] =
+              remap.emplace(base.partition.partition_of[v], next_pid);
+          if (inserted) ++next_pid;
+          partition.partition_of[v] = it->second;
+        }
+        continue;
+      }
+      dirty_idx.push_back(g);
+      if (order != nullptr) {
+        std::sort(members.begin(), members.end(),
+                  [&](VertexId x, VertexId y) {
+                    return std::tie((*order)[x].source_table, x) <
+                           std::tie((*order)[y].source_table, y);
+                  });
+      }
+      for (uint32_t i = 0; i < members.size(); ++i) local_of[members[i]] = i;
+    }
+
+    std::atomic<uint32_t> next_partition{next_pid};
+    std::mutex mu;
+    auto run_dirty = [&](size_t k) {
+      const auto& members = groups[dirty_idx[k]];
+      if (members.size() == 1) {
+        partition.partition_of[members[0]] = next_partition.fetch_add(1);
+        return;
+      }
+      PartitionResult local = PartitionComponentSubgraph(
+          graph, comp, local_of, members, options.partitioner);
+      const uint32_t first = next_partition.fetch_add(
+          static_cast<uint32_t>(local.num_partitions));
+      for (uint32_t i = 0; i < members.size(); ++i) {
+        partition.partition_of[members[i]] = first + local.partition_of[i];
+      }
+      // merges_performed covers re-partitioned components only: a base
+      // artifact stores a whole-run total that cannot be decomposed per
+      // carried component.
+      std::lock_guard<std::mutex> lock(mu);
+      partition.merges_performed += local.merges_performed;
+    };
+    threads->ParallelFor(dirty_idx.size(), run_dirty);
+    partition.num_partitions = next_partition.load();
+    num_dirty = dirty_idx.size();
+  } else {
+    partition = GreedyPartition(graph, options.partitioner);
+    num_dirty = partition.num_partitions;
+  }
+  out->stats.partition_seconds =
+      base.stats.partition_seconds + timer.ElapsedSeconds();
+  out->stats.partitions = partition.num_partitions;
+  if (dirty_components != nullptr) *dirty_components = num_dirty;
+  return carried;
+}
+
+/// Resolve stage: resolves every partition group outside the carried
+/// components (a retired candidate's singleton resolves nothing) and keeps
+/// the base mappings of carried components verbatim — their partitions,
+/// members and conflict sets are untouched, and the curation filter is
+/// per-mapping. `reorder` hands each group its members in (source table,
+/// id) order, as ApplyPartition's `order` does. Fills `out`; returns the
+/// number of carried mappings.
+size_t ApplyResolve(const CandidateSet& cands, const Partitions& partitions,
+                    const std::vector<uint8_t>& carried, bool reorder,
+                    const SynthesisResult& base,
+                    const SynthesisOptions& options,
+                    const ConflictResolutionOptions& conflict,
+                    ThreadPool* threads, SynthesisResult* out) {
+  Timer timer;
+  const std::vector<BinaryTable>& tables = cands.tables();
+  const PartitionResult& partition = partitions.partition;
+  std::vector<std::vector<VertexId>> groups(partition.num_partitions);
+  for (VertexId v = 0; v < partition.partition_of.size(); ++v) {
+    if (v < carried.size() && carried[v]) continue;
+    groups[partition.partition_of[v]].push_back(v);
+  }
+  std::erase_if(groups, [&](const std::vector<VertexId>& g) {
+    return g.empty() || (g.size() == 1 && cands.is_dead(g[0]));
+  });
+  if (reorder) {
+    for (auto& g : groups) {
+      std::sort(g.begin(), g.end(), [&](VertexId x, VertexId y) {
+        return std::tie(tables[x].source_table, x) <
+               std::tie(tables[y].source_table, y);
+      });
+    }
+  }
+  std::vector<SynthesizedMapping> mappings = FilterByPopularity(
+      ResolveGroups(tables, groups, options, conflict, threads),
+      options.min_domains, options.min_pairs);
+  size_t num_carried = 0;
+  for (const auto& m : base.mappings) {
+    if (!carried.empty() && !m.member_tables.empty() &&
+        carried[m.member_tables[0]]) {
+      mappings.push_back(m);
+      ++num_carried;
+    }
+  }
+  if (num_carried > 0) {
+    std::sort(mappings.begin(), mappings.end(), PopularityGreater);
+  }
+  out->mappings = std::move(mappings);
+  out->stats = partitions.stats;
+  out->stats.resolve_seconds =
+      base.stats.resolve_seconds + timer.ElapsedSeconds();
+  out->stats.mappings = out->mappings.size();
+  out->stats.total_seconds =
+      out->stats.index_seconds + out->stats.extract_seconds +
+      out->stats.blocking_seconds + out->stats.scoring_seconds +
+      out->stats.partition_seconds + out->stats.resolve_seconds;
+  return num_carried;
+}
+
 }  // namespace
 
 CompatibilityGraph BuildCompatibilityGraph(
@@ -284,7 +592,7 @@ CompatibilityGraph BuildCompatibilityGraph(
   Timer timer;
   BlockingStats bstats;
   auto pairs =
-      GenerateCandidatePairs(candidates, blocking, pool_threads, &bstats);
+      GenerateCandidatePairs(candidates, 0, blocking, pool_threads, &bstats);
   if (stats) {
     FillBlockingStats(bstats, pairs.size(), timer.ElapsedSeconds(), stats);
   }
@@ -308,6 +616,9 @@ CompatibilityGraph BuildCompatibilityGraph(
 /// never affect scores, so reuse across runs changes speed only.
 struct SynthesisSession::MatcherSlots {
   const StringPool* pool = nullptr;
+  /// pool->truncations() when the slots were built: a truncated pool may
+  /// re-intern cached ids with other strings.
+  uint64_t pool_truncations = 0;
   double fractional = 0.0;
   size_t cap = 0;
   std::vector<std::unique_ptr<BatchApproxMatcher>> slots;
@@ -406,7 +717,6 @@ Result<CandidateSet> SynthesisSession::ExtractCandidates(
   MS_RETURN_IF_ERROR(ReadyToRun());
   static obs::Histogram* const stage_us = StageHistogram("extract");
   obs::TraceSpan span("synth.extract", stage_us);
-  CandidateSet out;
   Timer step;
   // With the coherence filter disabled (threshold at/below the score
   // floor), ColumnPassesCoherence short-circuits and nothing reads the
@@ -415,21 +725,15 @@ Result<CandidateSet> SynthesisSession::ExtractCandidates(
   if (options_.extraction.coherence_threshold > -1.0) {
     index.Build(corpus, threads_.get());
   }
-  out.stats.index_seconds = step.ElapsedSeconds();
+  const double index_s = step.ElapsedSeconds();
 
   step.Restart();
   ExtractionResult extracted = ::ms::ExtractCandidates(
       corpus, index, options_.extraction, threads_.get());
-  out.stats.extract_seconds = step.ElapsedSeconds();
-  out.stats.extraction = extracted.stats;
-  out.owned = std::move(extracted.candidates);
-  out.stats.candidates = out.owned.size();
-  out.pool = &corpus.pool();
-  out.source_tables = corpus.size();
-  out.kept_offsets = std::move(extracted.kept_offsets);
-  out.kept_columns = std::move(extracted.kept_columns);
-  out.margin_offsets = std::move(extracted.margin_offsets);
-  out.margins = std::move(extracted.margins);
+  CandidateSet out;
+  ApplyExtraction(EmptyFamily().candidates, std::move(extracted),
+                  /*retired=*/{}, /*removed_tables=*/{}, corpus, index_s,
+                  step.ElapsedSeconds(), &out);
   if (options_.extraction.coherence_threshold > -1.0) {
     // Seed the maintained-index cache: the first incremental mutation on
     // this corpus patches these postings in place instead of paying a
@@ -476,12 +780,9 @@ Result<BlockedPairs> SynthesisSession::BlockPairs(
   static obs::Histogram* const stage_us = StageHistogram("block");
   obs::TraceSpan span("synth.block", stage_us);
   BlockedPairs out;
-  Timer timer;
-  out.pairs = GenerateCandidatePairs(candidates.tables(), options_.blocking,
-                                     threads_.get(), &out.blocking);
-  out.stats = candidates.stats;
-  FillBlockingStats(out.blocking, out.pairs.size(), timer.ElapsedSeconds(),
-                    &out.stats);
+  ApplyBlocking(candidates, /*first_new=*/0, /*retired=*/{},
+                EmptyFamily().blocked, options_.blocking, threads_.get(), &out,
+                /*fresh=*/nullptr);
   out.artifact_id = NextArtifactId();
   out.candidates_id = candidates.artifact_id;
   out.session = this;
@@ -496,15 +797,19 @@ CompatibilityGraph SynthesisSession::ScoreThroughSessionMatchers(
 
   // (Re)build or re-point the per-worker matchers. Everything cached in a
   // matcher depends only on the pool contents and edit.fractional, so a
-  // re-score under tweaked thresholds starts with every mask it ever built.
+  // re-score under tweaked thresholds starts with every mask it ever built
+  // — unless the pool was truncated since, which can give cached ids new
+  // strings.
   const size_t num_slots = threads_->num_threads() + 1;
   const bool warm = matchers_ != nullptr && matchers_->pool == &pool &&
+                    matchers_->pool_truncations == pool.truncations() &&
                     matchers_->slots.size() == num_slots &&
                     matchers_->fractional == eff.edit.fractional &&
                     matchers_->cap == options_.matcher_cache_cap;
   if (!warm) {
     matchers_ = std::make_unique<MatcherSlots>();
     matchers_->pool = &pool;
+    matchers_->pool_truncations = pool.truncations();
     matchers_->fractional = eff.edit.fractional;
     matchers_->cap = options_.matcher_cache_cap;
     matchers_->slots.resize(num_slots);
@@ -539,6 +844,48 @@ CompatibilityGraph SynthesisSession::ScoreThroughSessionMatchers(
   return graph;
 }
 
+ScoredGraph SynthesisSession::ApplyScoring(
+    const CandidateSet& cands, const BlockedPairs& blocked,
+    const std::vector<CandidateTablePair>& fresh, const ScoredGraph& base,
+    const std::vector<uint8_t>& retired, std::vector<uint8_t>* changed,
+    size_t* fresh_edges) {
+  Timer timer;
+  ScoringStats scoring;
+  CompatibilityGraph scored = ScoreThroughSessionMatchers(
+      cands.tables(), *cands.pool, fresh, &scoring);
+  if (fresh_edges != nullptr) *fresh_edges = scored.num_edges();
+  const auto is_retired = [&](const CompatEdge& e) {
+    return !retired.empty() && (retired[e.u] || retired[e.v]);
+  };
+  if (!retired.empty() && changed != nullptr) {
+    changed->assign(cands.tables().size(), 0);
+    std::copy(retired.begin(), retired.end(), changed->begin());
+    const auto mark = [&](const CompatEdge& e) {
+      (*changed)[e.u] = 1;
+      (*changed)[e.v] = 1;
+    };
+    for (const auto& e : base.graph.edges()) {
+      if (is_retired(e)) mark(e);
+    }
+    for (const auto& e : scored.edges()) mark(e);
+  }
+  ScoredGraph out;
+  if (base.graph.num_edges() == 0) {
+    out.graph = std::move(scored);
+  } else {
+    out.graph = CompatibilityGraph(
+        cands.tables().size(),
+        Splice(base.graph.edges(), is_retired, scored.edges(), EdgeLess));
+  }
+  out.stats = blocked.stats;  // blocking never fills scoring
+  out.stats.scoring = base.stats.scoring;
+  out.stats.scoring.Add(scoring);
+  out.stats.scoring_seconds =
+      base.stats.scoring_seconds + timer.ElapsedSeconds();
+  out.stats.graph_edges = out.graph.num_edges();
+  return out;
+}
+
 Result<ScoredGraph> SynthesisSession::ScorePairs(
     const CandidateSet& candidates, const BlockedPairs& blocked) {
   const std::lock_guard<std::recursive_mutex> lock(run_mu_);
@@ -552,16 +899,9 @@ Result<ScoredGraph> SynthesisSession::ScorePairs(
                                   candidates.artifact_id));
   static obs::Histogram* const stage_us = StageHistogram("score");
   obs::TraceSpan span("synth.score", stage_us);
-  ScoredGraph out;
-  Timer timer;
-  ScoringStats scoring;
-  out.graph = ScoreThroughSessionMatchers(candidates.tables(),
-                                          *candidates.pool, blocked.pairs,
-                                          &scoring);
-  out.stats = blocked.stats;  // blocking never fills scoring, so this run's
-  out.stats.scoring.Add(scoring);  // counters land on a clean slate
-  out.stats.scoring_seconds = timer.ElapsedSeconds();
-  out.stats.graph_edges = out.graph.num_edges();
+  ScoredGraph out = ApplyScoring(candidates, blocked, blocked.pairs,
+                                 EmptyFamily().scored, /*retired=*/{},
+                                 /*changed=*/nullptr, /*fresh_edges=*/nullptr);
   out.artifact_id = NextArtifactId();
   out.candidates_id = candidates.artifact_id;
   out.session = this;
@@ -575,58 +915,12 @@ Result<Partitions> SynthesisSession::Partition(const ScoredGraph& sg) {
   MS_RETURN_IF_ERROR(CheckSameSession("Partition", sg.session));
   static obs::Histogram* const stage_us = StageHistogram("partition");
   obs::TraceSpan span("synth.partition", stage_us);
-  const CompatibilityGraph& graph = sg.graph;
-  Partitions out;
-  out.stats = sg.stats;
-
   // Algorithm 3, optionally per positive component (Appendix F
   // divide-and-conquer).
-  Timer step;
-  PartitionResult partition;
-  if (options_.divide_and_conquer) {
-    auto comp = ConnectedComponentsBfs(graph, options_.partitioner.theta_edge);
-    auto groups = GroupByComponent(comp);
-    out.stats.components = groups.size();
-
-    // One global vertex -> component-local-index table, filled in a single
-    // O(V) pass: component member lists are disjoint, so per-component
-    // O(V) scratch vectors (the previous shape) would cost O(V·C) total.
-    // Cross-component edges (positive weight below θ_edge) are filtered by
-    // comparing component ids, which local_of alone can no longer express.
-    std::vector<uint32_t> local_of(graph.num_vertices(), 0);
-    for (const auto& members : groups) {
-      for (uint32_t i = 0; i < members.size(); ++i) local_of[members[i]] = i;
-    }
-
-    partition.partition_of.assign(graph.num_vertices(), 0);
-    std::atomic<uint32_t> next_partition{0};
-    std::mutex mu;
-
-    auto run_component = [&](size_t gi) {
-      const auto& members = groups[gi];
-      if (members.size() == 1) {
-        uint32_t pid = next_partition.fetch_add(1);
-        partition.partition_of[members[0]] = pid;
-        return;
-      }
-      PartitionResult local = PartitionComponentSubgraph(
-          graph, comp, local_of, members, options_.partitioner);
-      uint32_t base = next_partition.fetch_add(
-          static_cast<uint32_t>(local.num_partitions));
-      for (uint32_t i = 0; i < members.size(); ++i) {
-        partition.partition_of[members[i]] = base + local.partition_of[i];
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      partition.merges_performed += local.merges_performed;
-    };
-    threads_->ParallelFor(groups.size(), run_component);
-    partition.num_partitions = next_partition.load();
-  } else {
-    partition = GreedyPartition(graph, options_.partitioner);
-  }
-  out.stats.partition_seconds = step.ElapsedSeconds();
-  out.stats.partitions = partition.num_partitions;
-  out.partition = std::move(partition);
+  Partitions out;
+  ApplyPartition(sg, /*first_new=*/0, /*changed=*/{}, EmptyFamily().partitions,
+                 /*order=*/nullptr, options_, threads_.get(), &out,
+                 /*dirty_components=*/nullptr);
   out.artifact_id = NextArtifactId();
   out.candidates_id = sg.candidates_id;
   out.graph_id = sg.artifact_id;
@@ -659,27 +953,10 @@ Result<SynthesisResult> SynthesisSession::Resolve(
   }
   static obs::Histogram* const stage_us = StageHistogram("resolve");
   obs::TraceSpan span("synth.resolve", stage_us);
-  const std::vector<BinaryTable>& cands = candidates.tables();
-  const ConflictResolutionOptions conflict = EffectiveConflict();
-
   SynthesisResult result;
-  result.stats = partitions.stats;
-
-  // Conflict resolution + mapping assembly.
-  Timer step;
-  auto groups = partitions.partition.Groups();
-  std::vector<SynthesizedMapping> mappings =
-      ResolveGroups(cands, groups, options_, conflict, threads_.get());
-  result.stats.resolve_seconds = step.ElapsedSeconds();
-
-  result.mappings = FilterByPopularity(std::move(mappings),
-                                       options_.min_domains,
-                                       options_.min_pairs);
-  result.stats.mappings = result.mappings.size();
-  result.stats.total_seconds =
-      result.stats.index_seconds + result.stats.extract_seconds +
-      result.stats.blocking_seconds + result.stats.scoring_seconds +
-      result.stats.partition_seconds + result.stats.resolve_seconds;
+  ApplyResolve(candidates, partitions, /*carried=*/{}, /*reorder=*/false,
+               EmptyFamily().result, options_, EffectiveConflict(),
+               threads_.get(), &result);
   ++session_stats_.resolve_runs;
   MS_LOG(Info) << "synthesis: " << result.stats.candidates << " candidates, "
                << result.stats.graph_edges << " edges, "
@@ -884,14 +1161,14 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
 
   // Candidates retired by the removal itself (flipped tables add theirs
   // after extraction below).
-  std::vector<uint8_t> newly_dead(base_tables.size(), 0);
-  size_t newly_dead_count = 0;
+  std::vector<uint8_t> retired(base_tables.size(), 0);
+  size_t num_retired = 0;
   for (size_t i = 0; !removed_tables.empty() && i < base_tables.size(); ++i) {
     if (candidates.is_dead(static_cast<BinaryTableId>(i))) continue;
     if (std::binary_search(removed_tables.begin(), removed_tables.end(),
                            base_tables[i].source_table)) {
-      newly_dead[i] = 1;
-      ++newly_dead_count;
+      retired[i] = 1;
+      ++num_retired;
     }
   }
 
@@ -915,26 +1192,27 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   step.Restart();
   const BinaryTableId first_new_id =
       static_cast<BinaryTableId>(base_tables.size());
-  DeltaExtractionRequest request;
-  request.first_new_table = first_new_table;
-  request.first_new_id = first_new_id;
-  request.base_kept_offsets = &candidates.kept_offsets;
-  request.base_kept_columns = &candidates.kept_columns;
+  ExtractionBase base;
+  base.first_new_table = first_new_table;
+  base.first_new_id = first_new_id;
+  base.kept_offsets = &candidates.kept_offsets;
+  base.kept_columns = &candidates.kept_columns;
   if (candidates.margin_offsets.size() == first_new_table + 1) {
-    request.base_margin_offsets = &candidates.margin_offsets;
-    request.base_margins = &candidates.margins;
+    base.margin_offsets = &candidates.margin_offsets;
+    base.margins = &candidates.margins;
   }
-  request.removed_tables = removed_tables;
-  request.removed_values = std::move(removed_values);
-  DeltaExtractionResult delta = ExtractCandidatesDelta(
-      corpus, index, request, options_.extraction, threads_.get());
+  base.removed_tables = removed_tables;
+  base.removed_values = std::move(removed_values);
+  ExtractionResult delta = ::ms::ExtractCandidates(
+      corpus, index, options_.extraction, threads_.get(), base);
   const double extract_s = step.ElapsedSeconds();
-  out.append.extraction_stable = delta.stable;
-  out.append.unstable_tables = delta.unstable_tables;
+  const size_t unstable_tables = delta.flipped_tables.size();
+  out.append.extraction_stable = delta.stable();
+  out.append.unstable_tables = unstable_tables;
   out.append.margin_skips = delta.margin_skips;
   out.append.margin_rechecks = delta.margin_rechecks;
-  out.append.new_candidates = delta.new_candidates.size();
-  unstable_total->Add(delta.unstable_tables);
+  out.append.new_candidates = delta.candidates.size();
+  unstable_total->Add(unstable_tables);
   margin_skips_total->Add(delta.margin_skips);
   margin_rechecks_total->Add(delta.margin_rechecks);
 
@@ -974,7 +1252,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
     out.scored = std::move(g).value();
     out.partitions = std::move(p).value();
     out.result = std::move(r).value();
-    out.append.removed_candidates = newly_dead_count;
+    out.append.removed_candidates = num_retired;
     out.append.new_candidates =
         out.candidates.owned.size() -
         std::min(out.candidates.owned.size(), base_tables.size());
@@ -983,84 +1261,36 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
                  << out.candidates.owned.size() << " candidates)";
     return out;
   };
-  if (!delta.stable && delta.unstable_tables * 2 > live_old_tables) {
+  if (!delta.stable() && unstable_tables * 2 > live_old_tables) {
     // A majority of the surviving tables flipped their coherence verdict:
     // partial re-extraction would churn most candidate ids anyway, so an
     // internal cold re-run is both cheaper and re-densifies ids (results
     // are still exact — exactness is never traded for speed).
-    return full_rebuild(std::to_string(delta.unstable_tables) + "/" +
+    return full_rebuild(std::to_string(unstable_tables) + "/" +
                         std::to_string(live_old_tables) +
                         " coherence verdicts shifted");
   }
   // Flipped tables: their base candidates are superseded by the
-  // re-extractions riding along in delta.new_candidates.
+  // re-extractions riding along in delta.candidates.
   for (size_t i = 0;
        !delta.flipped_tables.empty() && i < base_tables.size(); ++i) {
-    if (newly_dead[i] || candidates.is_dead(static_cast<BinaryTableId>(i))) {
+    if (retired[i] || candidates.is_dead(static_cast<BinaryTableId>(i))) {
       continue;
     }
     if (std::binary_search(delta.flipped_tables.begin(),
                            delta.flipped_tables.end(),
                            base_tables[i].source_table)) {
-      newly_dead[i] = 1;
-      ++newly_dead_count;
+      retired[i] = 1;
+      ++num_retired;
     }
   }
-  out.append.removed_candidates = newly_dead_count;
-  const bool have_dead = newly_dead_count > 0;
+  out.append.removed_candidates = num_retired;
+  const bool have_dead = num_retired > 0;
+  if (!have_dead) retired.clear();  // the stage helpers read empty as none
 
-  // --- Merge candidates: base ids are untouched, new candidates (appended
-  // tables' and flipped tables' re-extractions) take the next dense ids in
-  // table order. Retired candidates keep their id and provenance but lose
-  // their pairs — downstream they have the footprint of a candidate that
-  // was never extracted.
-  out.candidates.owned = base_tables;
-  out.candidates.owned.reserve(base_tables.size() +
-                               delta.new_candidates.size());
-  for (auto& c : delta.new_candidates) {
-    out.candidates.owned.push_back(std::move(c));
-  }
-  if (have_dead) {
-    for (size_t i = 0; i < newly_dead.size(); ++i) {
-      if (!newly_dead[i]) continue;
-      BinaryTable& t = out.candidates.owned[i];
-      BinaryTable cleared = BinaryTable::FromPairs({});
-      cleared.id = t.id;
-      cleared.source_table = t.source_table;
-      cleared.domain = std::move(t.domain);
-      cleared.source = t.source;
-      cleared.left_name = std::move(t.left_name);
-      cleared.right_name = std::move(t.right_name);
-      t = std::move(cleared);
-    }
-  }
-  out.candidates.dead = candidates.dead;
-  if (have_dead || !out.candidates.dead.empty()) {
-    out.candidates.dead.resize(out.candidates.owned.size(), 0);
-    for (size_t i = 0; i < newly_dead.size(); ++i) {
-      if (newly_dead[i]) out.candidates.dead[i] = 1;
-    }
-  }
-  out.candidates.tombstoned_tables = candidates.tombstoned_tables;
-  if (!removed_tables.empty()) {
-    out.candidates.tombstoned_tables.insert(
-        out.candidates.tombstoned_tables.end(), removed_tables.begin(),
-        removed_tables.end());
-    std::sort(out.candidates.tombstoned_tables.begin(),
-              out.candidates.tombstoned_tables.end());
-  }
+  ApplyExtraction(candidates, std::move(delta), retired, removed_tables,
+                  corpus, index_s, extract_s, &out.candidates);
   const size_t total_dead = out.candidates.num_dead();
-  out.candidates.pool = pool;
-  out.candidates.source_tables = corpus.size();
-  out.candidates.kept_offsets = std::move(delta.kept_offsets);
-  out.candidates.kept_columns = std::move(delta.kept_columns);
-  out.candidates.margin_offsets = std::move(delta.margin_offsets);
-  out.candidates.margins = std::move(delta.margins);
-  out.candidates.stats = candidates.stats;
-  out.candidates.stats.index_seconds += index_s;
-  out.candidates.stats.extract_seconds += extract_s;
-  AddExtractionStats(&out.candidates.stats.extraction, delta.stats);
-  out.candidates.stats.candidates = out.candidates.owned.size() - total_dead;
 
   // Appends and removals only ever *relabel* live candidate ids — they
   // never reorder them, so the live sequence stays sorted by source table
@@ -1091,7 +1321,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
     // graph on raw vertex ids; its tie-breaks cannot be re-sorted into
     // cold order the way per-component subgraphs can, so a broken id
     // order forces a rebuild to keep the cold-oracle equivalence exact.
-    return full_rebuild(std::to_string(delta.unstable_tables) +
+    return full_rebuild(std::to_string(unstable_tables) +
                         " coherence verdicts shifted without "
                         "divide-and-conquer");
   }
@@ -1100,323 +1330,56 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
     // pairs survive a hot key depends on id order. The base run already
     // truncated, and this family's live ids are no longer in cold order:
     // only a rebuild keeps the cold-oracle equivalence exact.
-    return full_rebuild(std::to_string(delta.unstable_tables) +
+    return full_rebuild(std::to_string(unstable_tables) +
                         " coherence verdicts shifted with truncated "
                         "posting lists");
   }
 
-  // --- Delta blocking. Appends: only keys the new candidates touch are
-  // counted, only (new x all) pairs can emerge — old pairs' counts and
-  // old-candidate taint are append-invariant (appended ids sort last, so
-  // truncation keeps the identical old-id prefix of every posting list)
-  // and merge verbatim. Removals additionally drop every base pair that
-  // touches a retired candidate; that filter stays exact as long as the
-  // base run never truncated a posting list (dropped_postings == 0 —
-  // surviving pairs' key sets are untouched). When the base run DID
-  // truncate, deleting ids can pull previously-dropped postings back under
-  // the cap and resurrect pairs between old candidates, so blocking re-runs
-  // from scratch — but scoring below still reuses every base edge whose
-  // pair survived (edge weights depend only on the candidates' contents).
-  step.Restart();
-  std::vector<CandidateTablePair> delta_pairs;
-  if (!have_dead || blocked.blocking.dropped_postings == 0) {
-    std::vector<uint8_t> tainted = blocked.blocking.tainted;
-    if (!tainted.empty()) tainted.resize(out.candidates.owned.size(), 0);
-    DeltaBlockingStats dstats;
-    if (first_new_id < out.candidates.owned.size()) {
-      delta_pairs = GenerateDeltaCandidatePairs(
-          out.candidates.owned, first_new_id, options_.blocking,
-          threads_.get(), &tainted, &dstats);
-    }
-    if (!order_ok && dstats.dropped_postings != 0) {
-      // The union posting lists truncated for the first time during this
-      // mutation (possibly a pure append — the id-order break can stem
-      // from a flip several generations back). Same reasoning as the
-      // pre-blocking check: truncation keeps the lowest ids, and the live
-      // ids are not in cold order, so only a rebuild preserves exact cold
-      // equivalence.
-      return full_rebuild(std::to_string(delta.unstable_tables) +
-                          " coherence verdicts shifted and the delta "
-                          "blocking pass truncated posting lists");
-    }
-    std::vector<CandidateTablePair> base_kept;
-    const std::vector<CandidateTablePair>* base_src = &blocked.pairs;
-    if (have_dead) {
-      base_kept.reserve(blocked.pairs.size());
-      for (const auto& p : blocked.pairs) {
-        if (newly_dead[p.a] || newly_dead[p.b]) continue;
-        base_kept.push_back(p);
-      }
-      base_src = &base_kept;
-    }
-    out.blocked.pairs.reserve(base_src->size() + delta_pairs.size());
-    std::merge(base_src->begin(), base_src->end(), delta_pairs.begin(),
-               delta_pairs.end(), std::back_inserter(out.blocked.pairs),
-               [](const CandidateTablePair& x, const CandidateTablePair& y) {
-                 return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-               });
-    out.blocked.blocking = blocked.blocking;
-    out.blocked.blocking.keys += dstats.new_keys;
-    out.blocked.blocking.dropped_postings += dstats.dropped_postings;
-    size_t num_tainted = 0;
-    for (uint8_t t : tainted) num_tainted += t;
-    out.blocked.blocking.tainted_candidates = num_tainted;
-    out.blocked.blocking.exact_counts =
-        out.blocked.blocking.dropped_postings == 0;
-    out.blocked.blocking.tainted = std::move(tainted);
-  } else {
-    BlockingStats bstats;
-    std::vector<CandidateTablePair> full_pairs = GenerateCandidatePairs(
-        out.candidates.owned, options_.blocking, threads_.get(), &bstats);
-    const auto less_ab = [](const CandidateTablePair& x,
-                            const CandidateTablePair& y) {
-      return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-    };
-    // Pairs the base run never scored (new candidates' and resurrected
-    // old-old pairs) are the only ones that need scoring.
-    for (const auto& p : full_pairs) {
-      if (!std::binary_search(blocked.pairs.begin(), blocked.pairs.end(), p,
-                              less_ab)) {
-        delta_pairs.push_back(p);
-      }
-    }
-    out.blocked.pairs = std::move(full_pairs);
-    out.blocked.blocking = std::move(bstats);
+  // --- Block, score, partition, resolve: each stage applies this
+  // mutation to its base artifact, through the same helpers a cold run
+  // applies to the empty family.
+  std::vector<CandidateTablePair> fresh;
+  ApplyBlocking(out.candidates, first_new_id, retired, blocked,
+                options_.blocking, threads_.get(), &out.blocked, &fresh);
+  if (!order_ok && out.blocked.blocking.dropped_postings !=
+                       blocked.blocking.dropped_postings) {
+    // The union posting lists truncated for the first time during this
+    // mutation (possibly a pure append — the id-order break can stem from
+    // a flip several generations back). Same reasoning as the pre-blocking
+    // check: truncation keeps the lowest ids, and the live ids are not in
+    // cold order, so only a rebuild preserves exact cold equivalence.
+    return full_rebuild(std::to_string(unstable_tables) +
+                        " coherence verdicts shifted and the delta "
+                        "blocking pass truncated posting lists");
   }
-  out.append.delta_pairs = delta_pairs.size();
-  out.blocked.stats = out.candidates.stats;
-  FillBlockingStats(out.blocked.blocking, out.blocked.pairs.size(),
-                    blocked.stats.blocking_seconds + step.ElapsedSeconds(),
-                    &out.blocked.stats);
+  out.append.delta_pairs = fresh.size();
 
-  // --- Delta scoring through the warm per-worker matchers, then splice:
-  // both edge lists are sorted by (u, v) — blocking emits pairs sorted and
-  // scoring adds edges in pair order — so the merged list is exactly what
-  // one cold scoring pass over the merged pairs would have built. Base
-  // edges incident to a retired candidate vanish with it; every other base
-  // edge is reused verbatim (weights depend only on the two candidates'
-  // contents, which are unchanged).
-  step.Restart();
-  ScoringStats scoring;
-  CompatibilityGraph delta_graph = ScoreThroughSessionMatchers(
-      out.candidates.owned, *pool, delta_pairs, &scoring);
-  out.append.delta_edges = delta_graph.num_edges();
-  {
-    const auto& be = scored.graph.edges();
-    const auto& de = delta_graph.edges();
-    const auto base_dead = [&](const CompatEdge& e) {
-      return have_dead && (newly_dead[e.u] || newly_dead[e.v]);
-    };
-    std::vector<CompatEdge> merged;
-    merged.reserve(de.size() + be.size() -
-                   static_cast<size_t>(std::count_if(be.begin(), be.end(),
-                                                     base_dead)));
-    size_t bi = 0, di = 0;
-    while (bi < be.size() || di < de.size()) {
-      if (bi < be.size() && base_dead(be[bi])) {
-        ++bi;
-        continue;
-      }
-      const bool take_base =
-          di >= de.size() ||
-          (bi < be.size() &&
-           std::tie(be[bi].u, be[bi].v) < std::tie(de[di].u, de[di].v));
-      merged.push_back(take_base ? be[bi++] : de[di++]);
-    }
-    out.scored.graph =
-        CompatibilityGraph(out.candidates.owned.size(), std::move(merged));
-  }
-  out.scored.stats = out.blocked.stats;
-  out.scored.stats.scoring = scored.stats.scoring;
-  out.scored.stats.scoring.Add(scoring);
-  out.scored.stats.scoring_seconds =
-      scored.stats.scoring_seconds + step.ElapsedSeconds();
-  out.scored.stats.graph_edges = out.scored.graph.num_edges();
+  std::vector<uint8_t> changed;
+  out.scored = ApplyScoring(out.candidates, out.blocked, fresh, scored,
+                            retired, &changed, &out.append.delta_edges);
 
-  // --- Component-restricted partition: a component is re-partitioned only
-  // when its induced subgraph could differ from the base run's — it holds
-  // a new candidate (delta pairs all touch one on pure appends), a
-  // candidate this mutation retired, a base-graph neighbor of a retired
-  // candidate (it lost an incident edge), or an endpoint of a delta-scored
-  // edge (covers old-old pairs resurfacing out of truncation). Every other
-  // component's subgraph — and therefore its greedy partition — is
-  // provably identical to the base run's; carry it. (If removal split a
-  // base component, every resulting piece contains a former neighbor of a
-  // retired vertex, so all pieces are re-partitioned — membership of clean
-  // components is exactly their base membership.)
-  step.Restart();
-  PartitionResult partition;
-  std::vector<std::vector<VertexId>> dirty_groups;
-  std::vector<uint32_t> comp;
-  std::vector<char> comp_dirty;
-  size_t num_components = 0;
-  const std::vector<uint8_t>& dead_bitmap = out.candidates.dead;
-  const auto vertex_dead = [&](VertexId v) {
-    return v < dead_bitmap.size() && dead_bitmap[v] != 0;
-  };
-  if (options_.divide_and_conquer) {
-    comp = ConnectedComponentsBfs(out.scored.graph,
-                                  options_.partitioner.theta_edge);
-    auto groups = GroupByComponent(comp);
-    num_components = groups.size();
-    std::vector<uint8_t> dirty_vertex(out.scored.graph.num_vertices(), 0);
-    for (size_t v = first_new_id; v < dirty_vertex.size(); ++v) {
-      dirty_vertex[v] = 1;
-    }
-    if (have_dead) {
-      for (size_t v = 0; v < newly_dead.size(); ++v) {
-        if (newly_dead[v]) dirty_vertex[v] = 1;
-      }
-      for (const auto& e : scored.graph.edges()) {
-        if (newly_dead[e.u] || newly_dead[e.v]) {
-          dirty_vertex[e.u] = 1;
-          dirty_vertex[e.v] = 1;
-        }
-      }
-      for (const auto& e : delta_graph.edges()) {
-        dirty_vertex[e.u] = 1;
-        dirty_vertex[e.v] = 1;
-      }
-    }
-    comp_dirty.assign(groups.size(), 0);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      for (VertexId v : groups[g]) {
-        if (dirty_vertex[v]) {
-          comp_dirty[g] = 1;
-          break;
-        }
-      }
-    }
-
-    partition.partition_of.assign(out.scored.graph.num_vertices(), 0);
-    // Clean components: carry the base partitioning, renumbered densely.
-    uint32_t next_pid = 0;
-    {
-      std::unordered_map<uint32_t, uint32_t> remap;
-      for (size_t g = 0; g < groups.size(); ++g) {
-        if (comp_dirty[g]) continue;
-        for (VertexId v : groups[g]) {
-          const uint32_t base_pid = partitions.partition.partition_of[v];
-          auto [it, inserted] = remap.emplace(base_pid, next_pid);
-          if (inserted) ++next_pid;
-          partition.partition_of[v] = it->second;
-        }
-      }
-    }
-
-    std::vector<uint32_t> local_of(out.scored.graph.num_vertices(), 0);
-    std::vector<size_t> dirty_idx;
-    for (size_t g = 0; g < groups.size(); ++g) {
-      if (!comp_dirty[g]) continue;
-      dirty_idx.push_back(g);
-      // The greedy partitioner tie-breaks on vertex ids, so hand each
-      // dirty component its members in the relative order a cold run's
-      // dense ids would impose: by source table, then by id (within one
-      // table, id order is extraction order for base candidates and
-      // re-extractions alike). For append/removal-only families this is a
-      // no-op — live ids are already table-ordered — but it makes the
-      // local subgraph bit-identical to the cold run's even when a
-      // flipped table's re-extraction sits at tail ids, and it feeds
-      // conflict resolution its members in cold order too.
-      std::sort(groups[g].begin(), groups[g].end(),
-                [&](VertexId x, VertexId y) {
-                  return std::tie(out.candidates.owned[x].source_table, x) <
-                         std::tie(out.candidates.owned[y].source_table, y);
-                });
-      for (uint32_t i = 0; i < groups[g].size(); ++i) {
-        local_of[groups[g][i]] = i;
-      }
-    }
-    std::atomic<uint32_t> next_partition{next_pid};
-    std::mutex mu;
-    auto run_dirty = [&](size_t k) {
-      const auto& members = groups[dirty_idx[k]];
-      if (members.size() == 1) {
-        partition.partition_of[members[0]] = next_partition.fetch_add(1);
-        // Retired candidates are isolated singleton components: they keep
-        // a partition slot (vertex ids stay stable) but resolve nothing.
-        if (vertex_dead(members[0])) return;
-        std::lock_guard<std::mutex> lock(mu);
-        dirty_groups.push_back({members[0]});
-        return;
-      }
-      PartitionResult local = PartitionComponentSubgraph(
-          out.scored.graph, comp, local_of, members, options_.partitioner);
-      const uint32_t base = next_partition.fetch_add(
-          static_cast<uint32_t>(local.num_partitions));
-      std::vector<std::vector<VertexId>> local_groups(local.num_partitions);
-      for (uint32_t i = 0; i < members.size(); ++i) {
-        partition.partition_of[members[i]] = base + local.partition_of[i];
-        local_groups[local.partition_of[i]].push_back(members[i]);
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      // merges_performed covers only re-partitioned components: the base
-      // artifact stores a whole-run total that cannot be decomposed per
-      // clean component, so this informational counter intentionally
-      // reports the append's own work, not the cold-equivalent total.
-      partition.merges_performed += local.merges_performed;
-      for (auto& gvec : local_groups) dirty_groups.push_back(std::move(gvec));
-    };
-    threads_->ParallelFor(dirty_idx.size(), run_dirty);
-    partition.num_partitions = next_partition.load();
-    out.append.dirty_components = dirty_idx.size();
-    out.append.clean_components = num_components - dirty_idx.size();
-  } else {
-    // Without divide-and-conquer the greedy runs globally; no component
-    // boundary protects any prior partition, so everything is re-run.
-    partition = GreedyPartition(out.scored.graph, options_.partitioner);
-    dirty_groups = partition.Groups();
-    if (total_dead > 0) {
-      std::erase_if(dirty_groups, [&](const std::vector<VertexId>& g) {
-        return g.size() == 1 && vertex_dead(g[0]);
-      });
-    }
-    out.append.dirty_components = dirty_groups.size();
-  }
-  out.partitions.partition = std::move(partition);
-  out.partitions.stats = out.scored.stats;
+  const std::vector<BinaryTable>* order =
+      order_ok ? nullptr : &out.candidates.owned;
+  const std::vector<uint8_t> carried = ApplyPartition(
+      out.scored, first_new_id, changed, partitions, order, options_,
+      threads_.get(), &out.partitions, &out.append.dirty_components);
   if (options_.divide_and_conquer) {
     // Retired candidates sit in singleton components holding a reserved
     // partition slot each; the reported counts cover live structure only,
     // matching what a cold rebuild over the surviving tables sees.
-    out.partitions.stats.components = num_components - total_dead;
+    out.append.clean_components =
+        out.partitions.stats.components - out.append.dirty_components;
+    out.partitions.stats.components -= total_dead;
+  } else {
+    // The global greedy re-ran every partition; the retired singletons
+    // among them resolve nothing.
+    out.append.dirty_components -= total_dead;
   }
-  out.partitions.stats.partition_seconds =
-      partitions.stats.partition_seconds + step.ElapsedSeconds();
-  out.partitions.stats.partitions =
-      out.partitions.partition.num_partitions - total_dead;
+  out.partitions.stats.partitions -= total_dead;
 
-  // --- Resolve only the dirty groups; mappings of clean components carry
-  // over verbatim (their partitions, members, and conflict sets are
-  // untouched, and the curation filter is per-mapping).
-  step.Restart();
-  const ConflictResolutionOptions conflict = EffectiveConflict();
-  std::vector<SynthesizedMapping> resolved = ResolveGroups(
-      out.candidates.owned, dirty_groups, options_, conflict, threads_.get());
-  std::vector<SynthesizedMapping> merged_mappings = FilterByPopularity(
-      std::move(resolved), options_.min_domains, options_.min_pairs);
-  size_t carried = 0;
-  if (options_.divide_and_conquer) {
-    for (const auto& m : result.mappings) {
-      if (m.member_tables.empty()) continue;
-      if (!comp_dirty[comp[m.member_tables[0]]]) {
-        merged_mappings.push_back(m);
-        ++carried;
-      }
-    }
-  }
-  std::sort(merged_mappings.begin(), merged_mappings.end(),
-            PopularityGreater);
-  out.append.carried_mappings = carried;
-  out.result.mappings = std::move(merged_mappings);
-  out.result.stats = out.partitions.stats;
-  out.result.stats.resolve_seconds =
-      result.stats.resolve_seconds + step.ElapsedSeconds();
-  out.result.stats.mappings = out.result.mappings.size();
-  out.result.stats.total_seconds =
-      out.result.stats.index_seconds + out.result.stats.extract_seconds +
-      out.result.stats.blocking_seconds + out.result.stats.scoring_seconds +
-      out.result.stats.partition_seconds + out.result.stats.resolve_seconds;
+  out.append.carried_mappings = ApplyResolve(
+      out.candidates, out.partitions, carried, order != nullptr, result,
+      options_, EffectiveConflict(), threads_.get(), &out.result);
 
   restamp(candidates.generation + 1);
   out.append.append_seconds = append_timer.ElapsedSeconds();
@@ -1427,7 +1390,8 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
                << out.append.delta_pairs << " delta pairs, "
                << out.append.margin_skips << " margin skips / "
                << out.append.margin_rechecks << " rechecks, "
-               << out.append.dirty_components << "/" << num_components
+               << out.append.dirty_components << "/"
+               << out.append.dirty_components + out.append.clean_components
                << " dirty components, " << out.append.carried_mappings
                << " mappings carried";
   return out;

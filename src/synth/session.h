@@ -256,9 +256,11 @@ struct AppendStats {
   /// settled by the cached monotonicity bound vs exact re-checks paid.
   size_t margin_skips = 0;
   size_t margin_rechecks = 0;
-  /// True when instability spanned most of the corpus and an internal cold
-  /// re-run was cheaper than partial re-extraction (results are still
-  /// exact; ids re-densify and tombstones compact away).
+  /// True when instability spanned most of the corpus (or broke the id
+  /// order a truncating or global partition depends on) and the mutation
+  /// was applied from the empty family instead of its base: the cold stage
+  /// methods over the whole mutated corpus (results are still exact; ids
+  /// re-densify and tombstones compact away).
   bool full_rebuild = false;
   double append_seconds = 0.0;
 };
@@ -414,8 +416,11 @@ class SynthesisSession {
   ///   - only components containing a new candidate are re-partitioned and
   ///     re-resolved; untouched components' mappings carry over verbatim
   ///     (divide-and-conquer mode).
-  /// If a coherence verdict flipped, falls back to a full internal re-run
-  /// (AppendStats::full_rebuild) — exactness is never traded for speed.
+  /// Each stage runs the same code as its cold stage method, which applies
+  /// the delta that adds every candidate to the empty family. If most
+  /// coherence verdicts flipped, the mutation is applied from the empty
+  /// family instead (AppendStats::full_rebuild) — exactness is never
+  /// traded for speed.
   ///
   /// `first_new_table` must equal candidates.source_tables. All artifacts
   /// must share lineage. `candidates` must carry extraction signatures
@@ -540,11 +545,26 @@ class SynthesisSession {
   ConflictResolutionOptions EffectiveConflict();
   uint64_t NextArtifactId() { return next_artifact_id_++; }
   /// Scores `pairs` over `tables` through the session's persistent
-  /// per-worker matchers (building/warming them as needed); shared by
-  /// ScorePairs and the append delta-scoring path.
+  /// per-worker matchers (building/warming them as needed).
   CompatibilityGraph ScoreThroughSessionMatchers(
       const std::vector<BinaryTable>& tables, const StringPool& pool,
       const std::vector<CandidateTablePair>& pairs, ScoringStats* scoring);
+  /// The score stage as a delta over `base`: scores `fresh` through the
+  /// warm matchers and splices the edges into the base graph minus every
+  /// edge touching a `retired` candidate (empty: none). Both edge lists are
+  /// sorted by (u, v), so the splice is exactly what one scoring pass over
+  /// the merged pairs builds; base edges are reused verbatim (weights depend
+  /// only on the two candidates' contents). Over an edgeless base — the
+  /// empty family of a cold run — the scored graph is moved, not copied.
+  /// When candidates were retired, `changed` (nullable) flags them and both
+  /// endpoints of every edge the splice dropped or added.
+  ScoredGraph ApplyScoring(const CandidateSet& cands,
+                           const BlockedPairs& blocked,
+                           const std::vector<CandidateTablePair>& fresh,
+                           const ScoredGraph& base,
+                           const std::vector<uint8_t>& retired,
+                           std::vector<uint8_t>* changed,
+                           size_t* fresh_edges);
   Status CheckSameSession(const char* stage, const void* session) const;
   Status CheckLineage(const char* stage, const void* session,
                       uint64_t got_candidates_id,
@@ -557,11 +577,13 @@ class SynthesisSession {
                               const ScoredGraph& scored,
                               const Partitions& partitions,
                               const SynthesisResult& result) const;
-  /// The unified incremental-maintenance core behind AppendTables,
-  /// RemoveTables, and ReplaceTables: `corpus` is already mutated (removed
-  /// tables tombstoned, appended tables merged at the tail);
-  /// `removed_tables` (sorted), `removed_values`, and `removed_columns`
-  /// describe the tombstoned footprint. Caller holds run_mu_.
+  /// The incremental-maintenance core behind AppendTables, RemoveTables,
+  /// and ReplaceTables: `corpus` is already mutated (removed tables
+  /// tombstoned, appended tables merged at the tail); `removed_tables`
+  /// (sorted), `removed_values`, and `removed_columns` describe the
+  /// tombstoned footprint. Each stage applies the mutation to its base
+  /// artifact through the same helper the cold stage methods apply to the
+  /// empty family. Caller holds run_mu_.
   Result<AppendedArtifacts> ApplyCorpusDeltaLocked(
       const TableCorpus& corpus, size_t first_new_table,
       std::vector<uint32_t> removed_tables,

@@ -114,6 +114,7 @@ void StringPool::TruncateTo(size_t new_size) {
   // Segments stay allocated; the dropped slots are rewritten by later
   // appends.
   size_.store(new_size, std::memory_order_release);
+  truncations_.fetch_add(1, std::memory_order_release);
   if (indexed_ > new_size) indexed_ = new_size;
 }
 

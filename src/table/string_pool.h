@@ -108,6 +108,13 @@ class StringPool {
   /// paths that precede any append. No-op when new_size >= size().
   void TruncateTo(size_t new_size);
 
+  /// Number of TruncateTo calls that dropped ids. A dropped id can come
+  /// back holding a different string, so caches keyed by ValueId (the
+  /// session's warm matchers) compare this counter to notice. Lock-free.
+  uint64_t truncations() const {
+    return truncations_.load(std::memory_order_acquire);
+  }
+
   /// Returns the id for `s` or kInvalidValueId if never interned. Builds
   /// the deferred index over adopted views if necessary.
   ValueId Find(std::string_view s) const;
@@ -157,6 +164,7 @@ class StringPool {
   /// Segments are written only under mu_ and freed only by the destructor.
   std::array<std::atomic<std::string_view*>, kNumSegments> segments_{};
   std::atomic<size_t> size_{0};
+  std::atomic<uint64_t> truncations_{0};
   std::deque<std::string> owned_;
   /// Lazily covers ids [0, indexed_); adopted views are indexed on the
   /// first string -> id operation, never on adoption.

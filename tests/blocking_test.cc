@@ -47,7 +47,7 @@ TEST_F(BlockingFixture, SharedPairsAreCounted) {
   cands.push_back(Make({{"a", "1"}, {"b", "2"}, {"d", "4"}}));
   BlockingOptions opts;
   opts.theta_overlap = 2;
-  auto pairs = GenerateCandidatePairs(cands, opts);
+  auto pairs = GenerateCandidatePairs(cands, 0, opts);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].shared_pairs, 2u);
   EXPECT_EQ(pairs[0].shared_lefts, 2u);
@@ -59,9 +59,9 @@ TEST_F(BlockingFixture, BelowThresholdIsPruned) {
   cands.push_back(Make({{"a", "1"}, {"c", "3"}}));  // 1 shared pair/left
   BlockingOptions opts;
   opts.theta_overlap = 2;
-  EXPECT_TRUE(GenerateCandidatePairs(cands, opts).empty());
+  EXPECT_TRUE(GenerateCandidatePairs(cands, 0, opts).empty());
   opts.theta_overlap = 1;
-  EXPECT_EQ(GenerateCandidatePairs(cands, opts).size(), 1u);
+  EXPECT_EQ(GenerateCandidatePairs(cands, 0, opts).size(), 1u);
 }
 
 TEST_F(BlockingFixture, DisjointTablesNeverPair) {
@@ -70,7 +70,7 @@ TEST_F(BlockingFixture, DisjointTablesNeverPair) {
   cands.push_back(Make({{"x", "9"}, {"y", "8"}}));
   BlockingOptions opts;
   opts.theta_overlap = 1;
-  EXPECT_TRUE(GenerateCandidatePairs(cands, opts).empty());
+  EXPECT_TRUE(GenerateCandidatePairs(cands, 0, opts).empty());
 }
 
 TEST_F(BlockingFixture, SharedLeftsAloneTriggerPairing) {
@@ -81,7 +81,7 @@ TEST_F(BlockingFixture, SharedLeftsAloneTriggerPairing) {
   cands.push_back(Make({{"algeria", "alg"}, {"albania", "axx"}}));
   BlockingOptions opts;
   opts.theta_overlap = 2;
-  auto pairs = GenerateCandidatePairs(cands, opts);
+  auto pairs = GenerateCandidatePairs(cands, 0, opts);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].shared_pairs, 0u);
   EXPECT_EQ(pairs[0].shared_lefts, 2u);
@@ -94,7 +94,7 @@ TEST_F(BlockingFixture, TransitiveGroupsEmitAllPairs) {
   cands.push_back(Make({{"a", "1"}, {"b", "2"}}));
   BlockingOptions opts;
   opts.theta_overlap = 2;
-  auto pairs = GenerateCandidatePairs(cands, opts);
+  auto pairs = GenerateCandidatePairs(cands, 0, opts);
   EXPECT_EQ(pairs.size(), 3u);  // all C(3,2) pairs
   EXPECT_NE(FindPair(pairs, 0, 1), nullptr);
   EXPECT_NE(FindPair(pairs, 0, 2), nullptr);
@@ -109,8 +109,8 @@ TEST_F(BlockingFixture, DeterministicOrdering) {
   }
   BlockingOptions opts;
   opts.theta_overlap = 2;
-  auto a = GenerateCandidatePairs(cands, opts);
-  auto b = GenerateCandidatePairs(cands, opts);
+  auto a = GenerateCandidatePairs(cands, 0, opts);
+  auto b = GenerateCandidatePairs(cands, 0, opts);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].a, b[i].a);
@@ -134,8 +134,8 @@ TEST_F(BlockingFixture, ParallelMatchesSerial) {
     cands.push_back(Make(rows));
   }
   ThreadPool pool(4);
-  auto serial = GenerateCandidatePairs(cands, {}, nullptr);
-  auto parallel = GenerateCandidatePairs(cands, {}, &pool);
+  auto serial = GenerateCandidatePairs(cands, 0, {}, nullptr);
+  auto parallel = GenerateCandidatePairs(cands, 0, {}, &pool);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].a, parallel[i].a);
@@ -156,14 +156,14 @@ TEST_F(BlockingFixture, HotKeyCapBoundsPairExplosion) {
   BlockingOptions opts;
   opts.theta_overlap = 1;
   opts.max_posting = 4;
-  auto pairs = GenerateCandidatePairs(cands, opts);
+  auto pairs = GenerateCandidatePairs(cands, 0, opts);
   EXPECT_LE(pairs.size(), 12u);  // two hot keys (pair + left spaces) ≈ 6+6
   opts.max_posting = 256;
-  EXPECT_EQ(GenerateCandidatePairs(cands, opts).size(), 190u);  // C(20,2)
+  EXPECT_EQ(GenerateCandidatePairs(cands, 0, opts).size(), 190u);  // C(20,2)
 }
 
 TEST_F(BlockingFixture, EmptyCandidateSet) {
-  EXPECT_TRUE(GenerateCandidatePairs({}, {}).empty());
+  EXPECT_TRUE(GenerateCandidatePairs({}, 0, {}).empty());
 }
 
 // ------------------------------------------------- sharded-vs-seed oracle
@@ -203,9 +203,10 @@ TEST_F(BlockingFixture, ShardedMatchesReferenceOnRandomCorpora) {
         opts.theta_overlap = theta;
         opts.max_posting = cap;
         auto reference = GenerateCandidatePairsReference(cands, opts);
-        ExpectSamePairs(GenerateCandidatePairs(cands, opts), reference);
+        ExpectSamePairs(GenerateCandidatePairs(cands, 0, opts), reference);
         ThreadPool pool(4);
-        ExpectSamePairs(GenerateCandidatePairs(cands, opts, &pool), reference);
+        ExpectSamePairs(GenerateCandidatePairs(cands, 0, opts, &pool),
+                        reference);
       }
     }
   }
@@ -225,7 +226,7 @@ TEST_F(BlockingFixture, DroppedPostingsAreCounted) {
   opts.theta_overlap = 1;
   opts.max_posting = 4;
   BlockingStats stats;
-  GenerateCandidatePairs(cands, opts, nullptr, &stats);
+  GenerateCandidatePairs(cands, 0, opts, nullptr, &stats);
   EXPECT_EQ(stats.dropped_postings, 4u * 16u);
   // Keys: pair space {hot->key, hot2->key2, 20 x u_i->v}; left space
   // {hot, hot2, 20 x u_i}.
@@ -234,7 +235,7 @@ TEST_F(BlockingFixture, DroppedPostingsAreCounted) {
   // No truncation => nothing dropped, and timing fields are populated.
   opts.max_posting = 256;
   BlockingStats full;
-  GenerateCandidatePairs(cands, opts, nullptr, &full);
+  GenerateCandidatePairs(cands, 0, opts, nullptr, &full);
   EXPECT_EQ(full.dropped_postings, 0u);
   EXPECT_EQ(full.keys, 44u);
   EXPECT_GE(full.map_shuffle_seconds, 0.0);
@@ -244,8 +245,9 @@ TEST_F(BlockingFixture, DroppedPostingsAreCounted) {
 
 TEST_F(BlockingFixture, TruncationIsDeterministicAcrossThreadCounts) {
   // Every thread count runs the same shard-owned counting kernel, for cold
-  // and for delta blocking: pairs, key accounting and the taint bitmap must
-  // not depend on how the id-pair space was split.
+  // (first_new = 0) and append (first_new > 0) passes: pairs, key
+  // accounting and the taint bitmap must not depend on how the id-pair
+  // space was split.
   std::vector<BinaryTable> cands;
   for (int i = 0; i < 30; ++i) {
     cands.push_back(Make({{"hot", "key"},
@@ -255,27 +257,27 @@ TEST_F(BlockingFixture, TruncationIsDeterministicAcrossThreadCounts) {
   opts.theta_overlap = 1;
   opts.max_posting = 5;
   BlockingStats stats_ser;
-  const auto serial = GenerateCandidatePairs(cands, opts, nullptr, &stats_ser);
+  const auto serial =
+      GenerateCandidatePairs(cands, 0, opts, nullptr, &stats_ser);
   ASSERT_GT(stats_ser.dropped_postings, 0u);
   ASSERT_FALSE(stats_ser.tainted.empty());
 
-  // Delta pass: the last 10 candidates appended onto the first 20.
+  // Append pass: the last 10 candidates appended onto the first 20.
   constexpr uint32_t kFirstNew = 20;
   const std::vector<BinaryTable> base(cands.begin(),
                                       cands.begin() + kFirstNew);
   BlockingStats base_stats;
-  GenerateCandidatePairs(base, opts, nullptr, &base_stats);
-  std::vector<uint8_t> delta_tainted_ser = base_stats.tainted;
-  DeltaBlockingStats delta_ser;
-  const auto delta_pairs_ser = GenerateDeltaCandidatePairs(
-      cands, kFirstNew, opts, nullptr, &delta_tainted_ser, &delta_ser);
+  GenerateCandidatePairs(base, 0, opts, nullptr, &base_stats);
+  BlockingStats delta_ser = base_stats;
+  const auto delta_pairs_ser =
+      GenerateCandidatePairs(cands, kFirstNew, opts, nullptr, &delta_ser);
   ASSERT_FALSE(delta_pairs_ser.empty());
 
   for (size_t threads : {1u, 4u, 8u}) {
     SCOPED_TRACE("threads = " + std::to_string(threads));
     ThreadPool pool(threads);
     BlockingStats stats;
-    const auto pairs = GenerateCandidatePairs(cands, opts, &pool, &stats);
+    const auto pairs = GenerateCandidatePairs(cands, 0, opts, &pool, &stats);
     ExpectSamePairs(pairs, serial);
     for (size_t i = 0; i < pairs.size(); ++i) {
       EXPECT_EQ(pairs[i].counts_exact, serial[i].counts_exact) << i;
@@ -285,15 +287,18 @@ TEST_F(BlockingFixture, TruncationIsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(stats.tainted_candidates, stats_ser.tainted_candidates);
     EXPECT_EQ(stats.tainted, stats_ser.tainted);
 
-    std::vector<uint8_t> delta_tainted = base_stats.tainted;
-    DeltaBlockingStats delta;
-    const auto delta_pairs = GenerateDeltaCandidatePairs(
-        cands, kFirstNew, opts, &pool, &delta_tainted, &delta);
+    BlockingStats delta = base_stats;
+    const auto delta_pairs =
+        GenerateCandidatePairs(cands, kFirstNew, opts, &pool, &delta);
     ExpectSamePairs(delta_pairs, delta_pairs_ser);
-    EXPECT_EQ(delta.new_keys, delta_ser.new_keys);
-    EXPECT_EQ(delta.scanned_keys, delta_ser.scanned_keys);
+    for (size_t i = 0; i < delta_pairs.size(); ++i) {
+      EXPECT_EQ(delta_pairs[i].counts_exact, delta_pairs_ser[i].counts_exact)
+          << i;
+    }
+    EXPECT_EQ(delta.keys, delta_ser.keys);
     EXPECT_EQ(delta.dropped_postings, delta_ser.dropped_postings);
-    EXPECT_EQ(delta_tainted, delta_tainted_ser);
+    EXPECT_EQ(delta.tainted_candidates, delta_ser.tainted_candidates);
+    EXPECT_EQ(delta.tainted, delta_ser.tainted);
   }
 }
 

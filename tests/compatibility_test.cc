@@ -312,7 +312,7 @@ TEST_F(FastPathFixture, BlockingHintReuseIsExact) {
   }
   BlockingOptions bopts;
   BlockingStats bstats;
-  auto pairs = GenerateCandidatePairs(candidates, bopts, nullptr, &bstats);
+  auto pairs = GenerateCandidatePairs(candidates, 0, bopts, nullptr, &bstats);
   ASSERT_FALSE(pairs.empty());
   ASSERT_TRUE(bstats.exact_counts);
 

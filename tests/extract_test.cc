@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "extract/candidate_extraction.h"
 #include "extract/normalization_cache.h"
 #include "stats/inverted_index.h"
@@ -125,6 +126,105 @@ TEST_F(ExtractFixture, ParallelExtractionMatchesSerial) {
     EXPECT_EQ(serial.candidates[i].source_table,
               parallel.candidates[i].source_table);
   }
+}
+
+/// The base an extraction pass would extend after a cold run over the first
+/// `tables` tables under the same index: the cold run's signature CSR cut
+/// at `tables`.
+struct PrefixBase {
+  PrefixBase(const ExtractionResult& cold, size_t tables)
+      : kept_offsets(cold.kept_offsets.begin(),
+                     cold.kept_offsets.begin() + tables + 1),
+        margin_offsets(cold.margin_offsets.begin(),
+                       cold.margin_offsets.begin() + tables + 1) {
+    base.first_new_table = tables;
+    for (const auto& c : cold.candidates) {
+      if (c.source_table < tables) ++base.first_new_id;
+    }
+    base.kept_offsets = &kept_offsets;
+    base.kept_columns = &cold.kept_columns;
+    base.margin_offsets = &margin_offsets;
+    base.margins = &cold.margins;
+  }
+  PrefixBase(const PrefixBase&) = delete;
+  PrefixBase& operator=(const PrefixBase&) = delete;
+
+  std::vector<uint32_t> kept_offsets;
+  std::vector<uint32_t> margin_offsets;
+  ExtractionBase base;
+};
+
+void ExpectSameCandidates(const std::vector<BinaryTable>& want,
+                          const std::vector<BinaryTable>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].id, got[i].id) << i;
+    EXPECT_EQ(want[i].source_table, got[i].source_table) << i;
+    EXPECT_EQ(want[i].left_name, got[i].left_name) << i;
+    EXPECT_EQ(want[i].pairs(), got[i].pairs()) << i;
+  }
+}
+
+TEST_F(ExtractFixture, ExtractingOverABasePrefixEqualsTheColdTail) {
+  // One entry point: the pass over a base that holds the cold run's
+  // verdicts for tables [0, k) re-checks them (no flip), extracts tables
+  // [k, n) only, and returns exactly the cold run's candidates for them,
+  // ids included, plus the cold run's whole signature CSR.
+  ThreadPool pool(4);
+  const auto cold = ExtractCandidates(corpus_, index_, {}, &pool);
+  ASSERT_FALSE(cold.candidates.empty());
+  for (size_t k : {size_t{0}, size_t{7}, size_t{schedule_id_}}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    const PrefixBase prefix(cold, k);
+    const ExtractionBase& base = prefix.base;
+    const auto delta = ExtractCandidates(corpus_, index_, {}, &pool, base);
+    EXPECT_TRUE(delta.stable());
+    const std::vector<BinaryTable> tail(
+        cold.candidates.begin() + base.first_new_id, cold.candidates.end());
+    ExpectSameCandidates(tail, delta.candidates);
+    EXPECT_EQ(delta.kept_offsets, cold.kept_offsets);
+    EXPECT_EQ(delta.kept_columns, cold.kept_columns);
+    EXPECT_EQ(delta.margin_offsets, cold.margin_offsets);
+    EXPECT_EQ(delta.stats.tables_seen, corpus_.size() - k);
+    EXPECT_EQ(delta.stats.pairs_kept, tail.size());
+  }
+}
+
+TEST_F(ExtractFixture, AFlippedBaseSignatureIsReExtracted) {
+  // A base whose recorded verdicts for the schedule table disagree with the
+  // current index: the pass flags the table and re-extracts it at ids after
+  // the base's, with the cold run's contents. Flipped re-extractions stay
+  // out of the counters (no table was appended).
+  const auto cold = ExtractCandidates(corpus_, index_, {});
+  const size_t n = corpus_.size();
+  PrefixBase prefix(cold, n);
+  ExtractionBase& base = prefix.base;
+  std::vector<uint32_t> kept_columns;
+  std::vector<uint32_t> kept_offsets{0};
+  for (size_t t = 0; t < n; ++t) {
+    const uint32_t b = cold.kept_offsets[t], e = cold.kept_offsets[t + 1];
+    kept_columns.insert(kept_columns.end(), cold.kept_columns.begin() + b,
+                        cold.kept_columns.begin() + e);
+    if (t == schedule_id_) kept_columns.pop_back();  // claim one fewer kept
+    kept_offsets.push_back(static_cast<uint32_t>(kept_columns.size()));
+  }
+  base.kept_offsets = &kept_offsets;
+  base.kept_columns = &kept_columns;
+  const auto delta = ExtractCandidates(corpus_, index_, {}, nullptr, base);
+  ASSERT_FALSE(delta.stable());
+  EXPECT_EQ(delta.flipped_tables, std::vector<TableId>{schedule_id_});
+  std::vector<BinaryTable> want;
+  for (const auto& c : cold.candidates) {
+    if (c.source_table != schedule_id_) continue;
+    want.push_back(c);
+    want.back().id = static_cast<BinaryTableId>(cold.candidates.size() +
+                                                want.size() - 1);
+  }
+  ASSERT_FALSE(want.empty());
+  ExpectSameCandidates(want, delta.candidates);
+  EXPECT_EQ(delta.kept_columns, cold.kept_columns);
+  EXPECT_EQ(delta.stats.tables_seen, 0u);
+  EXPECT_EQ(delta.stats.pairs_kept, 0u);
 }
 
 TEST(ExtractOptionsTest, MinPairsDropsTinyCandidates) {

@@ -25,12 +25,14 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/serving.h"
 #include "common/random.h"
+#include "oracles/blocking_oracle.h"
 #include "persist/corpus_store.h"
 #include "synth/blocking.h"
 #include "synth/session.h"
@@ -381,8 +383,10 @@ TEST(IncrementalDifferentialTest, RandomAppendSchedulesMatchColdRebuild) {
 
 TEST(IncrementalDifferentialTest, DeltaBlockingMatchesFullReblocking) {
   // Sharp blocking-level differential: merging a base run's pairs with the
-  // delta pass must reproduce full re-blocking exactly — counts, per-pair
-  // exactness, taint bitmap, key and truncation accounting.
+  // append pass (first_new > 0) must reproduce the seed emit-then-count
+  // oracle exactly — counts and per-pair exactness — and a cold pass over
+  // the whole set must agree on the taint bitmap, key and truncation
+  // accounting.
   const size_t iters = FuzzIters(8);
   Rng rng(77);
   ThreadPool pool(4);
@@ -410,19 +414,17 @@ TEST(IncrementalDifferentialTest, DeltaBlockingMatchesFullReblocking) {
                  std::to_string(options.max_posting));
 
     BlockingStats full_stats;
-    auto full = GenerateCandidatePairs(candidates, options, &pool,
+    auto full = GenerateCandidatePairs(candidates, 0, options, &pool,
                                        &full_stats);
 
     std::vector<BinaryTable> base(candidates.begin(),
                                   candidates.begin() + first_new);
     BlockingStats base_stats;
-    auto base_pairs = GenerateCandidatePairs(base, options, &pool,
+    auto base_pairs = GenerateCandidatePairs(base, 0, options, &pool,
                                              &base_stats);
-    std::vector<uint8_t> tainted = base_stats.tainted;
-    if (!tainted.empty()) tainted.resize(n, 0);
-    DeltaBlockingStats dstats;
-    auto delta = GenerateDeltaCandidatePairs(candidates, first_new, options,
-                                             &pool, &tainted, &dstats);
+    BlockingStats union_stats = base_stats;
+    auto delta = GenerateCandidatePairs(candidates, first_new, options, &pool,
+                                        &union_stats);
     std::vector<CandidateTablePair> merged;
     merged.reserve(base_pairs.size() + delta.size());
     std::merge(base_pairs.begin(), base_pairs.end(), delta.begin(),
@@ -431,16 +433,20 @@ TEST(IncrementalDifferentialTest, DeltaBlockingMatchesFullReblocking) {
                  return std::tie(x.a, x.b) < std::tie(y.a, y.b);
                });
 
+    ExpectPairsIdentical(GenerateCandidatePairsReference(candidates, options),
+                         merged);
     ExpectPairsIdentical(full, merged);
-    if (!full_stats.tainted.empty() || !tainted.empty()) {
+    if (!full_stats.tainted.empty() || !union_stats.tainted.empty()) {
       std::vector<uint8_t> full_bitmap = full_stats.tainted;
       full_bitmap.resize(n, 0);
-      tainted.resize(n, 0);
-      EXPECT_EQ(full_bitmap, tainted);
+      std::vector<uint8_t> union_bitmap = union_stats.tainted;
+      union_bitmap.resize(n, 0);
+      EXPECT_EQ(full_bitmap, union_bitmap);
     }
-    EXPECT_EQ(full_stats.keys, base_stats.keys + dstats.new_keys);
-    EXPECT_EQ(full_stats.dropped_postings,
-              base_stats.dropped_postings + dstats.dropped_postings);
+    EXPECT_EQ(full_stats.keys, union_stats.keys);
+    EXPECT_EQ(full_stats.dropped_postings, union_stats.dropped_postings);
+    EXPECT_EQ(full_stats.tainted_candidates, union_stats.tainted_candidates);
+    EXPECT_EQ(full_stats.exact_counts, union_stats.exact_counts);
     ASSERT_FALSE(HasFailure());
   }
 }
@@ -817,18 +823,28 @@ TEST(IncrementalApiTest, AppendCorpusValidatesBeforeMutating) {
   EXPECT_EQ(corpus.size(), 20u);
 }
 
-TEST(IncrementalApiTest, AppendFromGrowingCorpusStartsEmpty) {
+/// (coherence filter on, divide_and_conquer) for the empty-base schedule.
+class IncrementalEmptyBaseTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(IncrementalEmptyBaseTest, AppendFromGrowingCorpusStartsEmpty) {
   // Degenerate but legal schedule: base corpus is empty, everything arrives
-  // as appends.
+  // as one append — the same delta a cold run applies to the empty family,
+  // here applied through the mutation path. It must equal the cold run with
+  // the coherence filter on or off and with or without divide-and-conquer.
+  const auto [coherence, divide_and_conquer] = GetParam();
   Rng rng(13);
   auto specs = RandomCorpusSpec(rng, 24);
   SynthesisOptions o = BaseOptions();
-  o.extraction.coherence_threshold = -1.0;  // provably stable appends
+  if (!coherence) o.extraction.coherence_threshold = -1.0;
+  o.divide_and_conquer = divide_and_conquer;
 
   TableCorpus cold_corpus;
   AddSpecs(&cold_corpus, specs, 0, specs.size());
   SynthesisSession cold_session(o);
   Family cold = ColdChain(&cold_session, cold_corpus);
+  ASSERT_FALSE(cold.scored.graph.edges().empty());
+  ASSERT_FALSE(cold.result.mappings.empty());
 
   TableCorpus inc_corpus;
   SynthesisSession session(o);
@@ -840,10 +856,22 @@ TEST(IncrementalApiTest, AppendFromGrowingCorpusStartsEmpty) {
                                     inc.result);
   ASSERT_TRUE(grown.ok()) << grown.status().ToString();
   EXPECT_FALSE(grown.value().append.full_rebuild);
+  EXPECT_TRUE(grown.value().append.extraction_stable);
   EXPECT_EQ(Canonical(cold.result, cold_corpus.pool()),
             Canonical(grown.value().result, inc_corpus.pool()));
   ExpectCountersIdentical(cold.result.stats, grown.value().result.stats);
+  ExpectPairsIdentical(cold.blocked.pairs, grown.value().blocked.pairs);
+  ExpectEdgesIdentical(cold.scored.graph, grown.value().scored.graph);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    CoherenceByDivideAndConquer, IncrementalEmptyBaseTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+      return std::string(std::get<0>(info.param) ? "CoherenceOn"
+                                                 : "CoherenceOff") +
+             (std::get<1>(info.param) ? "_DivideAndConquer" : "_Global");
+    });
 
 // --------------------------------------------- snapshot round trips (PR 4)
 

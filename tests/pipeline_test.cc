@@ -247,7 +247,7 @@ TEST(PipelineEquivalenceTest, GraphMatchesScalarReferenceBitwise) {
     PipelineStats stats;
     const CompatibilityGraph graph = BuildCompatibilityGraph(
         cands, pool, o.blocking, o.compat, nullptr, &stats);
-    const auto pairs = GenerateCandidatePairs(cands, o.blocking);
+    const auto pairs = GenerateCandidatePairs(cands, 0, o.blocking);
     ASSERT_EQ(pairs.size(), stats.candidate_pairs);
 
     std::vector<CompatEdge> want;

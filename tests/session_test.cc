@@ -9,6 +9,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -525,7 +526,7 @@ TEST(SessionBlockingTest, TruncationTaintsOnlyTouchedPairs) {
   opts.theta_overlap = 1;
   opts.max_posting = 4;
   BlockingStats stats;
-  auto pairs = GenerateCandidatePairs(cands, opts, nullptr, &stats);
+  auto pairs = GenerateCandidatePairs(cands, 0, opts, nullptr, &stats);
   ASSERT_GT(stats.dropped_postings, 0u);
   EXPECT_FALSE(stats.exact_counts);          // whole-run flag: truncated
   EXPECT_EQ(stats.tainted_candidates, 6u);   // ids 4..9 only
@@ -604,6 +605,59 @@ TEST(SessionMatcherTest, CacheCapFlushesAndStaysCorrect) {
   EXPECT_LE(capped.cached_values(), 8u);
   EXPECT_EQ(unbounded.stats().cache_flushes, 0u);
   EXPECT_GT(unbounded.cache_bytes(), 0u);
+}
+
+TEST(SessionMatcherTest, PoolTruncationRebuildsTheWarmMatchers) {
+  // A failed append rolls the pool back with TruncateTo, and the retry
+  // re-interns other strings into the same ids. The session's warm matchers
+  // cache per-id masks, so they must not survive the truncation: the next
+  // scoring run has to equal a fresh session's.
+  StringPool pool;
+  const ValueId s1 = pool.Intern("alpha"), s2 = pool.Intern("beta");
+  const ValueId t1 = pool.Intern("one"), t2 = pool.Intern("two");
+  const ValueId right = pool.Intern("shared right");
+  const size_t mark = pool.size();
+  // No byte class in common: the charmask bound rejects the pair outright.
+  const ValueId la = pool.Intern("abcdefghijkl");
+  const ValueId lb = pool.Intern("mnopqrstuvwx");
+  // Two exact shared pairs (so blocking keeps the pair) plus residues that
+  // differ only in their left value.
+  std::vector<BinaryTable> cands;
+  cands.push_back(BinaryTable::FromPairs({{s1, t1}, {s2, t2}, {la, right}}));
+  cands.push_back(BinaryTable::FromPairs({{s1, t1}, {s2, t2}, {lb, right}}));
+  for (size_t i = 0; i < cands.size(); ++i) {
+    cands[i].id = static_cast<BinaryTableId>(i);
+    cands[i].source_table = static_cast<TableId>(i);
+  }
+  using Edge = std::tuple<uint32_t, uint32_t, double, double>;
+  const auto score = [&](SynthesisSession& session) {
+    auto c = session.AdoptCandidates(cands, pool);
+    EXPECT_TRUE(c.ok()) << c.status().ToString();
+    auto b = session.BlockPairs(c.value());
+    EXPECT_TRUE(b.ok()) << b.status().ToString();
+    auto g = session.ScorePairs(c.value(), b.value());
+    EXPECT_TRUE(g.ok()) << g.status().ToString();
+    std::vector<Edge> edges;
+    for (const auto& e : g.value().graph.edges()) {
+      edges.emplace_back(e.u, e.v, e.w_pos, e.w_neg);
+    }
+    return edges;
+  };
+  // One worker: every run scores through the same matcher slot.
+  SynthesisOptions options;
+  options.num_threads = 1;
+  SynthesisSession session(options);
+  const std::vector<Edge> before = score(session);
+
+  pool.TruncateTo(mark);
+  ASSERT_EQ(pool.Intern("abcdefghijkl"), la);
+  ASSERT_EQ(pool.Intern("abcdefghijkx"), lb);  // now one edit from `la`
+
+  SynthesisSession fresh(options);
+  const std::vector<Edge> want = score(fresh);
+  ASSERT_NE(want, before) << "the re-interned strings must change the graph";
+  EXPECT_EQ(score(session), want);
+  EXPECT_EQ(session.session_stats().warm_scoring_runs, 0u);
 }
 
 // --------------------------------------------------------- mapping service
